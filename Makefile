@@ -58,10 +58,10 @@ race-probe:
 
 # The hped serving layer under the race detector: coalescer, result cache,
 # admission queue, cancellation, the soak test, and the daemon's SIGTERM
-# lifecycle are all concurrency-critical.
+# lifecycle in both modes are all concurrency-critical.
 serve-check:
-	$(GO) vet ./internal/server/ ./cmd/hped/
-	$(GO) test -race -count=1 ./internal/server/ ./cmd/hped/
+	$(GO) vet ./internal/server/ ./internal/flight/ ./cmd/hped/
+	$(GO) test -race -count=1 ./internal/server/ ./internal/flight/ ./cmd/hped/
 
 # The cluster coordinator under the race detector (DESIGN.md §13): ring
 # routing, shard dispatch with re-dispatch and circuit breaking, the chaos

@@ -22,9 +22,9 @@
 // submissions hit the LRU result cache and return byte-identical bodies in
 // microseconds. SIGINT/SIGTERM drains in-flight requests (bounded by
 // -shutdown-timeout), cancels whatever remains, flushes the cache stats to
-// stderr, and exits. Coordinator mode shares all of it: the same envelope
-// vocabulary, the same run IDs, byte-identical sweep bodies (README has the
-// cluster quickstart).
+// stderr, and exits. Coordinator mode shares all of it — it runs the same
+// /v1 front over a ring dispatcher: the same envelope vocabulary, the same
+// run IDs, byte-identical sweep bodies (README has the cluster quickstart).
 package main
 
 import (
@@ -80,31 +80,48 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stderr, format+"\n", a...)
 	}
 
+	// The mode picks the constructor; both yield the same /v1 front, so one
+	// serve-and-drain loop runs either.
+	var srv *server.Server
+	var who, detail string
 	if *coordinator {
-		return runCoordinator(ctx, coordinatorConfig{
-			addr:            *addr,
-			backends:        *backends,
-			cacheMB:         *cacheMB,
-			healthInterval:  *healthInterval,
-			maxAttempts:     *dispatchAttempts,
-			shutdownTimeout: *shutdownTimeout,
-		}, logf, stdout, stderr)
+		var urls []string
+		for _, b := range strings.Split(*backends, ",") {
+			if b = strings.TrimSpace(b); b != "" {
+				urls = append(urls, strings.TrimRight(b, "/"))
+			}
+		}
+		coord, err := cluster.New(cluster.Config{
+			Backends:       urls,
+			HealthInterval: *healthInterval,
+			MaxAttempts:    *dispatchAttempts,
+			CacheBytes:     *cacheMB << 20,
+			Logf:           logf,
+		})
+		if err != nil {
+			fmt.Fprintf(stderr, "hped: %v\n", err)
+			return 2
+		}
+		srv = coord.Server
+		who, detail = "hped coordinator", fmt.Sprintf("%d backends, cache=%dMiB", len(urls), *cacheMB)
+	} else {
+		srv = server.New(server.Config{
+			Workers:    *workers,
+			QueueDepth: *queue,
+			CacheBytes: *cacheMB << 20,
+			Logf:       logf,
+		})
+		who, detail = "hped", fmt.Sprintf("workers=%d, cache=%dMiB", *workers, *cacheMB)
 	}
 
-	srv := server.New(server.Config{
-		Workers:    *workers,
-		QueueDepth: *queue,
-		CacheBytes: *cacheMB << 20,
-		Logf:       logf,
-	})
 	ln, err := net.Listen("tcp", *addr)
 	if err != nil {
 		fmt.Fprintf(stderr, "hped: listen: %v\n", err)
+		srv.Close()
 		return 1
 	}
 	httpSrv := &http.Server{Handler: srv.Handler()}
-	fmt.Fprintf(stdout, "hped listening on http://%s (workers=%d, cache=%dMiB)\n",
-		ln.Addr(), *workers, *cacheMB)
+	fmt.Fprintf(stdout, "%s listening on http://%s (%s)\n", who, ln.Addr(), detail)
 
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- httpSrv.Serve(ln) }()
@@ -118,7 +135,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 
 	// Graceful shutdown: stop accepting, let in-flight requests finish
-	// within the timeout, then cancel whatever is still simulating.
+	// within the timeout, then cancel whatever is still computing.
 	fmt.Fprintf(stderr, "hped: shutdown signal, draining (timeout %v)\n", *shutdownTimeout)
 	srv.Drain()
 	dctx, cancel := context.WithTimeout(context.Background(), *shutdownTimeout)
@@ -126,75 +143,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	drainErr := httpSrv.Shutdown(dctx)
 	fmt.Fprintf(stderr, "hped: %s\n", srv.Close())
 	if drainErr != nil && !errors.Is(drainErr, http.ErrServerClosed) {
-		fmt.Fprintf(stderr, "hped: drain: %v (in-flight simulations cancelled)\n", drainErr)
-		return 1
-	}
-	fmt.Fprintln(stderr, "hped: drained cleanly")
-	return 0
-}
-
-// coordinatorConfig carries the coordinator-mode flag values.
-type coordinatorConfig struct {
-	addr            string
-	backends        string
-	cacheMB         int64
-	healthInterval  time.Duration
-	maxAttempts     int
-	shutdownTimeout time.Duration
-}
-
-// runCoordinator is the -coordinator serving loop: same lifecycle shape as
-// the backend path (listen, serve, drain on signal), with the cluster
-// coordinator behind the handler instead of the local simulator.
-func runCoordinator(ctx context.Context, cfg coordinatorConfig,
-	logf func(string, ...any), stdout, stderr io.Writer) int {
-	var urls []string
-	for _, b := range strings.Split(cfg.backends, ",") {
-		if b = strings.TrimSpace(b); b != "" {
-			urls = append(urls, strings.TrimRight(b, "/"))
-		}
-	}
-	coord, err := cluster.New(cluster.Config{
-		Backends:       urls,
-		HealthInterval: cfg.healthInterval,
-		MaxAttempts:    cfg.maxAttempts,
-		CacheBytes:     cfg.cacheMB << 20,
-		Logf:           logf,
-	})
-	if err != nil {
-		fmt.Fprintf(stderr, "hped: %v\n", err)
-		return 2
-	}
-	ln, err := net.Listen("tcp", cfg.addr)
-	if err != nil {
-		fmt.Fprintf(stderr, "hped: listen: %v\n", err)
-		coord.Close()
-		return 1
-	}
-	httpSrv := &http.Server{Handler: coord.Handler()}
-	fmt.Fprintf(stdout, "hped coordinator listening on http://%s (%d backends, cache=%dMiB)\n",
-		ln.Addr(), len(urls), cfg.cacheMB)
-
-	serveErr := make(chan error, 1)
-	go func() { serveErr <- httpSrv.Serve(ln) }()
-
-	select {
-	case err := <-serveErr:
-		fmt.Fprintf(stderr, "hped: serve: %v\n", err)
-		coord.Close()
-		return 1
-	case <-ctx.Done():
-	}
-
-	fmt.Fprintf(stderr, "hped: shutdown signal, draining (timeout %v)\n", cfg.shutdownTimeout)
-	coord.Drain()
-	//lint:ignore hpelint/ctxflow the caller's ctx has already fired (that is why we are draining); the drain deadline must outlive it
-	dctx, cancel := context.WithTimeout(context.Background(), cfg.shutdownTimeout)
-	defer cancel()
-	drainErr := httpSrv.Shutdown(dctx)
-	fmt.Fprintf(stderr, "hped: %s\n", coord.Close())
-	if drainErr != nil && !errors.Is(drainErr, http.ErrServerClosed) {
-		fmt.Fprintf(stderr, "hped: drain: %v (in-flight dispatches cancelled)\n", drainErr)
+		fmt.Fprintf(stderr, "hped: drain: %v (in-flight computations cancelled)\n", drainErr)
 		return 1
 	}
 	fmt.Fprintln(stderr, "hped: drained cleanly")

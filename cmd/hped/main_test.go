@@ -4,11 +4,14 @@ import (
 	"bytes"
 	"io"
 	"net/http"
+	"net/http/httptest"
 	"strings"
 	"sync"
 	"syscall"
 	"testing"
 	"time"
+
+	"hpe/internal/server"
 )
 
 // syncBuffer is a goroutine-safe bytes.Buffer: run() writes from the daemon
@@ -30,18 +33,36 @@ func (b *syncBuffer) String() string {
 	return b.buf.String()
 }
 
-// TestDaemonLifecycle drives a full daemon run in-process: boot on an
-// ephemeral port, serve real requests, deliver a real SIGTERM, and assert
-// the drain completes within the shutdown timeout with exit code 0.
+// TestDaemonLifecycle drives a full daemon run in-process in each mode:
+// boot on an ephemeral port, serve real requests, deliver a real SIGTERM,
+// and assert the drain completes within the shutdown timeout with exit
+// code 0. The coordinator fronts one in-process backend.
 func TestDaemonLifecycle(t *testing.T) {
 	if testing.Short() {
 		t.Skip("boots a full daemon")
 	}
+	t.Run("backend", func(t *testing.T) {
+		driveLifecycle(t, []string{"-workers", "2"}, "cache:")
+	})
+	t.Run("coordinator", func(t *testing.T) {
+		backend := server.New(server.Config{Workers: 2})
+		ts := httptest.NewServer(backend.Handler())
+		defer func() { ts.Close(); backend.Close() }()
+		driveLifecycle(t, []string{"-coordinator", "-backends", ts.URL,
+			"-health-interval", "100ms"}, "cluster: 1/1 backends live")
+	})
+}
+
+// driveLifecycle runs the daemon with args, exercises it over HTTP, sends
+// SIGTERM, and checks the exit code and the shutdown log, whose stats line
+// must contain statsLine.
+func driveLifecycle(t *testing.T, args []string, statsLine string) {
+	t.Helper()
 	var stdout, stderr syncBuffer
 	exit := make(chan int, 1)
 	go func() {
-		exit <- run([]string{"-addr", "127.0.0.1:0", "-workers", "2",
-			"-shutdown-timeout", "20s"}, &stdout, &stderr)
+		exit <- run(append([]string{"-addr", "127.0.0.1:0", "-shutdown-timeout", "20s"}, args...),
+			&stdout, &stderr)
 	}()
 
 	// The listening line carries the resolved ephemeral address.
@@ -97,7 +118,7 @@ func TestDaemonLifecycle(t *testing.T) {
 		t.Fatalf("daemon did not exit after SIGTERM; stderr:\n%s", stderr.String())
 	}
 	logs := stderr.String()
-	for _, want := range []string{"shutdown signal, draining", "cache:", "drained cleanly"} {
+	for _, want := range []string{"shutdown signal, draining", statsLine, "drained cleanly"} {
 		if !strings.Contains(logs, want) {
 			t.Errorf("shutdown log lacks %q:\n%s", want, logs)
 		}

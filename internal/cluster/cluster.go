@@ -10,11 +10,15 @@
 // old shards, and a dead backend's shards fall through to the next backend
 // on the ring with no reconciliation protocol.
 //
-// The coordinator serves the same /v1 endpoints as a backend (runs, suite,
-// policies, apps, healthz, metrics, enumeration), shares the backend's error
-// envelope vocabulary verbatim, and adds cluster-level /metrics: per-backend
-// liveness, breaker state, shard and re-dispatch counters, and the
-// saturation analyzer's max-sustainable-rate estimates. See DESIGN.md §13.
+// The coordinator is a server.Server: cluster.New builds the same /v1 front
+// hped runs, with the coordinator's ring dispatcher behind its compute seam
+// instead of the local simulator. So the routes, decoding, cache, coalescer,
+// envelopes and drain are hped's own code, and this package adds only what
+// a fleet needs — the ring, dispatch with re-dispatch and circuit breaking,
+// health checking, the merged listing, and cluster-level /metrics:
+// per-backend liveness, breaker state, shard and re-dispatch counters, and
+// the saturation analyzer's max-sustainable-rate estimates. See DESIGN.md
+// §13.
 package cluster
 
 import (
@@ -22,15 +26,12 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
-	"strconv"
 	"sync"
 	"time"
 
 	"hpe"
-	"hpe/internal/flight"
-	"hpe/internal/promtext"
-	"hpe/internal/respcache"
 	"hpe/internal/runspec"
 	"hpe/internal/server"
 )
@@ -40,9 +41,6 @@ type Config struct {
 	// Backends are the base URLs of the hped instances to shard across
 	// (e.g. "http://10.0.0.1:8080"). Required, at least one.
 	Backends []string
-	// VNodes is the number of virtual ring points per backend; defaults
-	// to 64.
-	VNodes int
 	// HealthInterval is the /healthz polling period; defaults to 2s.
 	HealthInterval time.Duration
 	// HealthTimeout bounds one health probe; defaults to 1s.
@@ -63,18 +61,14 @@ type Config struct {
 	// CacheBytes is the coordinator's merged-result cache budget; defaults
 	// to 256 MiB. Negative disables caching.
 	CacheBytes int64
-	// SuiteWorkers caps one sweep's concurrent shards; 0 means adaptive
-	// (the live backends' summed workers+queue, so every backend's window
-	// stays full without queueing rejections).
-	SuiteWorkers int
 	// Logf, when non-nil, receives operational log lines.
 	Logf func(format string, args ...any)
 }
 
+// ringVNodes is the number of virtual ring points per backend.
+const ringVNodes = 64
+
 func (c *Config) fillDefaults() {
-	if c.VNodes <= 0 {
-		c.VNodes = 64
-	}
 	if c.HealthInterval <= 0 {
 		c.HealthInterval = 2 * time.Second
 	}
@@ -96,37 +90,22 @@ func (c *Config) fillDefaults() {
 	if c.BreakerCooldown <= 0 {
 		c.BreakerCooldown = 5 * time.Second
 	}
-	if c.CacheBytes == 0 {
-		c.CacheBytes = 256 << 20
-	}
 }
 
 // Coordinator fronts a set of hped backends. Construct with New; it is safe
-// for concurrent use and is wired into an http.Server via Handler.
+// for concurrent use. Its embedded server.Server is the /v1 front (Handler,
+// Drain, Close).
 type Coordinator struct {
+	*server.Server
 	cfg        Config
-	baseCtx    context.Context
+	baseCtx    context.Context // the health loop's lifetime; Close cancels it
 	baseCancel context.CancelFunc
 	ring       *ring
 	order      []string            // backend names, configuration order (immutable)
 	backends   map[string]*backend // immutable map; each backend locks itself
 	client     *http.Client
-	cache      *respcache.Cache
-	co         *flight.Group
 	met        *clusterMetrics
-	mux        *http.ServeMux
-	draining   chan struct{} // closed by Drain
-	drainOnce  sync.Once
 	healthDone chan struct{} // closed when the health loop exits
-
-	sumMu     sync.Mutex
-	summaries map[string]listMeta // guarded by sumMu; id → enumeration summary
-}
-
-// listMeta is the enumeration metadata the coordinator records at submission.
-type listMeta struct {
-	kind    string
-	summary string
 }
 
 // New builds a Coordinator, performs one synchronous health round (so the
@@ -144,75 +123,27 @@ func New(cfg Config) (*Coordinator, error) {
 		}
 		seen[b] = true
 	}
-	//lint:ignore hpelint/ctxflow the coordinator owns its lifecycle root; Close cancels it, and the health loop and orphaned-shard computations derive from it
+	//lint:ignore hpelint/ctxflow the coordinator owns its lifecycle root; Close cancels it, and the health loop derives from it
 	ctx, cancel := context.WithCancel(context.Background())
 	c := &Coordinator{
 		cfg:        cfg,
 		baseCtx:    ctx,
 		baseCancel: cancel,
-		ring:       newRing(cfg.Backends, cfg.VNodes),
+		ring:       newRing(cfg.Backends, ringVNodes),
 		order:      cfg.Backends,
 		backends:   make(map[string]*backend, len(cfg.Backends)),
 		client:     &http.Client{},
-		cache:      respcache.New(cfg.CacheBytes),
-		co:         flight.NewGroup(),
 		met:        newClusterMetrics(),
-		draining:   make(chan struct{}),
 		healthDone: make(chan struct{}),
-		summaries:  make(map[string]listMeta),
 	}
 	for _, name := range cfg.Backends {
 		c.backends[name] = newBackend(name)
 	}
-	mux := http.NewServeMux()
-	mux.HandleFunc("POST /v1/runs", c.handleSubmitRun)
-	mux.HandleFunc("GET /v1/runs", c.handleListRuns)
-	mux.HandleFunc("GET /v1/runs/{id}", c.handleGetRun)
-	mux.HandleFunc("POST /v1/suite", c.handleSuite)
-	mux.HandleFunc("GET /v1/policies", c.handlePolicies)
-	mux.HandleFunc("GET /v1/apps", c.handleApps)
-	mux.HandleFunc("GET /v1/scenarios", c.handleScenarios)
-	mux.HandleFunc("GET /healthz", c.handleHealthz)
-	mux.HandleFunc("GET /metrics", c.handleMetrics)
-	c.mux = mux
+	c.Server = server.NewFront(ringCompute{c}, cfg.CacheBytes, cfg.Logf)
 
 	c.CheckHealth(ctx)
 	go c.healthLoop()
 	return c, nil
-}
-
-// Handler returns the HTTP handler tree.
-func (c *Coordinator) Handler() http.Handler { return c.mux }
-
-// Drain refuses new submissions with 503 while in-flight work completes.
-func (c *Coordinator) Drain() { c.drainOnce.Do(func() { close(c.draining) }) }
-
-func (c *Coordinator) isDraining() bool {
-	select {
-	case <-c.draining:
-		return true
-	default:
-		return false
-	}
-}
-
-// Close drains, stops the health loop, cancels in-flight dispatches, and
-// returns a final stats line for logging.
-func (c *Coordinator) Close() string {
-	c.Drain()
-	c.baseCancel()
-	<-c.healthDone
-	cs := c.cache.Snapshot()
-	sat := c.Saturation()
-	return fmt.Sprintf("cluster: %d/%d backends live, %.2f rps capacity; cache: %d entries, %d bytes; coalesced %d, redispatched %d",
-		sat.Live, len(c.order), sat.ClusterRPS, cs.Entries, cs.Bytes,
-		c.co.Coalesced(), c.met.redispatchCount())
-}
-
-func (c *Coordinator) logf(format string, args ...any) {
-	if c.cfg.Logf != nil {
-		c.cfg.Logf(format, args...)
-	}
 }
 
 // --- health checking -----------------------------------------------------
@@ -283,36 +214,48 @@ func (c *Coordinator) liveBackends() []string {
 	return out
 }
 
-// --- response plumbing ---------------------------------------------------
+// --- the compute seam ----------------------------------------------------
 
-func (c *Coordinator) writeBody(w http.ResponseWriter, route string, code int, source string, body []byte) {
-	w.Header().Set("Content-Type", "application/json")
-	if source != "" {
-		w.Header().Set("X-Hped-Source", source)
-	}
-	w.WriteHeader(code)
-	w.Write(body)
-	c.met.observeRequest(route, code)
+// ringCompute is the coordinator's side of server.Server's compute seam:
+// runs and sweep cells dispatch down the ring, a run the front does not hold
+// is looked up on the backends, the listing merges theirs, and /healthz,
+// /metrics and the Close line describe the cluster. There is no admission
+// queue: the per-backend dispatch windows bound concurrency.
+type ringCompute struct{ *Coordinator }
+
+func (rc ringCompute) Run(ctx context.Context, sp runspec.Spec, id string) ([]byte, error) {
+	body, err := rc.dispatchRun(ctx, sp, id)
+	return body, unavailable(id, err)
 }
 
-// writeError emits one typed error envelope — the identical envelope the
-// backends emit (server.WriteError), so clients branch on one vocabulary.
-// 429/503 carry a Retry-After hint like the backend's.
-func (c *Coordinator) writeError(w http.ResponseWriter, route string, status int, code server.ErrorCode, msg, runID string) {
-	if status == http.StatusTooManyRequests || status == http.StatusServiceUnavailable {
-		w.Header().Set("Retry-After", strconv.Itoa(c.retryAfterSeconds()))
-	}
-	server.WriteError(w, status, code, msg, runID)
-	c.met.observeRequest(route, status)
+// Suite ignores the client's hint: the sweep is sized to the live backends.
+func (rc ringCompute) Suite(ctx context.Context, req server.SuiteRequest, id string, _ int) ([]byte, error) {
+	body, err := rc.sweepSuite(ctx, req, id)
+	return body, unavailable(id, err)
 }
 
-// retryAfterSeconds prices the cluster's backlog: total in-flight shards
-// across backends, divided by the cluster's estimated capacity. Clamped to
-// [1, 300] like the backend's own hint.
-func (c *Coordinator) retryAfterSeconds() int {
-	sat := c.Saturation()
+// unavailable classifies a failed dispatch for the front. A relayed backend
+// rejection and a cancellation keep their own response; anything else means
+// no backend could run the shard.
+func unavailable(id string, err error) error {
+	var typed *server.Error
+	if err == nil || errors.As(err, &typed) ||
+		errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
+		return err
+	}
+	return &server.Error{Status: http.StatusServiceUnavailable, Body: server.ErrorBody{
+		Code: server.ErrBackendUnavailable, Message: "no backend could run this shard: " + err.Error(), RunID: id}}
+}
+
+func (ringCompute) Source() string { return "dispatch" }
+
+// RetryAfter prices the cluster's backlog: total in-flight shards across
+// backends, divided by the cluster's estimated capacity. Clamped to [1, 300]
+// like the backend's own hint.
+func (rc ringCompute) RetryAfter() int {
+	sat := rc.Saturation()
 	inflight := 0
-	for _, s := range c.snapshots() {
+	for _, s := range rc.snapshots() {
 		inflight += s.Inflight
 	}
 	if sat.ClusterRPS <= 0 {
@@ -328,179 +271,69 @@ func (c *Coordinator) retryAfterSeconds() int {
 	return int(est)
 }
 
-// recordSummary indexes id for GET /v1/runs enumeration.
-func (c *Coordinator) recordSummary(id string, m listMeta) {
-	c.sumMu.Lock()
-	c.summaries[id] = m
-	c.sumMu.Unlock()
-}
-
-// summaryOf looks up the recorded enumeration metadata for id.
-func (c *Coordinator) summaryOf(id string) (listMeta, bool) {
-	c.sumMu.Lock()
-	defer c.sumMu.Unlock()
-	m, ok := c.summaries[id]
-	return m, ok
-}
-
-// --- /v1/runs: submission ------------------------------------------------
-
-func (c *Coordinator) handleSubmitRun(w http.ResponseWriter, r *http.Request) {
-	const route = "run_submit"
-	if c.isDraining() {
-		c.writeError(w, route, http.StatusServiceUnavailable, server.ErrDraining, "coordinator draining", "")
-		return
-	}
-	sp, err := runspec.Decode(http.MaxBytesReader(nil, r.Body, 1<<20))
-	if err != nil {
-		c.writeError(w, route, http.StatusBadRequest, server.ErrBadSpec, "bad request body: "+err.Error(), "")
-		return
-	}
-	id := sp.ID()
-	c.recordSummary(id, listMeta{kind: "run", summary: runSummaryLine(sp)})
-	c.serveComputed(w, r, route, id, func(ctx context.Context) ([]byte, error) {
-		return c.dispatchRun(ctx, sp, id)
-	})
-}
-
-// runSummaryLine renders the spec sketch shown by GET /v1/runs.
-func runSummaryLine(sp hpe.RunSpec) string {
-	out := fmt.Sprintf("%s %s @%d%%", sp.App, sp.Policy, sp.Rate)
-	if v := sp.VariantLabel(); v != "" {
-		out += " [" + v + "]"
-	}
-	return out
-}
-
-// serveComputed is the coordinator's cache → coalesce → compute path. There
-// is no admission queue here — concurrency is bounded per backend by the
-// dispatch windows — so the error mapping is smaller than the backend's.
-func (c *Coordinator) serveComputed(w http.ResponseWriter, r *http.Request, route, id string,
-	compute func(context.Context) ([]byte, error)) {
-	if body, ok := c.cache.Get(id); ok {
-		c.writeBody(w, route, http.StatusOK, "cache", body)
-		return
-	}
-	body, coalesced, err := c.co.Do(r.Context(), c.baseCtx, id, func(ctx context.Context) ([]byte, error) {
-		body, err := compute(ctx)
-		if err != nil {
-			return nil, err
-		}
-		c.cache.Put(id, body)
-		return body, nil
-	})
-	source := "dispatch"
-	if coalesced {
-		source = "coalesce"
-	}
-	var perm *permanentError
-	switch {
-	case err == nil:
-		c.writeBody(w, route, http.StatusOK, source, body)
-	case errors.As(err, &perm):
-		// The backend rejected the request itself: relay its envelope and
-		// status verbatim — the coordinator adds no vocabulary of its own.
-		c.met.observeRequest(route, perm.status)
-		server.WriteError(w, perm.status, perm.body.Code, perm.body.Message, perm.body.RunID)
-	case r.Context().Err() != nil:
-		c.writeError(w, route, 499, server.ErrClientGone, "client disconnected", id)
-	case errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded):
-		c.writeError(w, route, http.StatusServiceUnavailable, server.ErrCancelled,
-			"computation cancelled: "+err.Error(), id)
-	default:
-		c.logf("coordinator: %s %s failed: %v", route, id, err)
-		c.writeError(w, route, http.StatusServiceUnavailable, server.ErrBackendUnavailable,
-			"no backend could run this shard: "+err.Error(), id)
-	}
-}
-
-// --- /v1/runs/{id}: status and fetch -------------------------------------
-
-func (c *Coordinator) handleGetRun(w http.ResponseWriter, r *http.Request) {
-	const route = "run_get"
-	id := r.PathValue("id")
-	if body, ok := c.cache.Get(id); ok {
-		c.writeBody(w, route, http.StatusOK, "cache", body)
-		return
-	}
-	if waiters, running := c.co.Inflight(id); running {
-		body, _ := json.Marshal(map[string]any{"id": id, "status": "running", "waiters": waiters})
-		c.writeBody(w, route, http.StatusAccepted, "", append(body, '\n'))
-		return
-	}
-	// Not held locally: walk the shard's preference sequence, then any other
-	// live backend (the id may predate a ring change). First cached or
-	// in-flight answer wins.
+// Fetch walks the run's preference sequence, then any other live backend
+// (the id may predate a ring change). The first cached or in-flight answer
+// wins, relayed with the backend's name as its source.
+func (rc ringCompute) Fetch(ctx context.Context, id string) (int, []byte, string) {
 	tried := make(map[string]bool)
-	for _, name := range append(c.ring.sequence(id), c.liveBackends()...) {
+	for _, name := range append(rc.ring.sequence(id), rc.liveBackends()...) {
 		if tried[name] {
 			continue
 		}
 		tried[name] = true
-		b := c.backends[name]
-		if !b.usable(time.Now(), c.cfg.BreakerThreshold) {
+		if !rc.backends[name].usable(time.Now(), rc.cfg.BreakerThreshold) {
 			continue
 		}
-		status, body, err := c.proxyGet(r.Context(), name, "/v1/runs/"+id)
+		status, body, err := rc.proxyGet(ctx, name, "/v1/runs/"+id)
 		if err != nil || status == http.StatusNotFound {
 			continue
 		}
-		if status == http.StatusOK {
-			c.cache.Put(id, body)
+		return status, body, name
+	}
+	return 0, nil, ""
+}
+
+// ClusterHealthBody is the coordinator's /healthz response.
+type ClusterHealthBody struct {
+	Status   string `json:"status"`
+	Backends int    `json:"backends"`
+	Live     int    `json:"live"`
+	// Workers is the summed simulation capacity of the live backends.
+	Workers int `json:"workers"`
+}
+
+func (rc ringCompute) Health() ([]byte, *server.Error) {
+	hb := ClusterHealthBody{Status: "ok", Backends: len(rc.order)}
+	for _, s := range rc.snapshots() {
+		if s.Alive {
+			hb.Live++
+			hb.Workers += s.Workers
 		}
-		c.writeBody(w, route, status, name, body)
-		return
 	}
-	c.writeError(w, route, http.StatusNotFound, server.ErrNotFound,
-		"no backend holds this run (results live in LRU caches; re-POST the request to recompute)", id)
+	if hb.Live == 0 {
+		return nil, &server.Error{Status: http.StatusServiceUnavailable, Body: server.ErrorBody{
+			Code: server.ErrBackendUnavailable, Message: "no live backends"}}
+	}
+	body, _ := json.Marshal(hb)
+	return append(body, '\n'), nil
 }
 
-// proxyGet performs one GET against one backend and returns status + body.
-func (c *Coordinator) proxyGet(ctx context.Context, name, path string) (int, []byte, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, name+path, nil)
-	if err != nil {
-		return 0, nil, err
-	}
-	resp, err := c.client.Do(req)
-	if err != nil {
-		return 0, nil, err
-	}
-	defer resp.Body.Close()
-	body, err := readAllLimited(resp.Body)
-	if err != nil {
-		return 0, nil, err
-	}
-	return resp.StatusCode, body, nil
+func (rc ringCompute) Metrics(w io.Writer, st server.FrontStats) {
+	rc.met.render(w, st, rc.snapshots(), rc.Saturation())
 }
 
-// --- /v1/suite: sharded sweep --------------------------------------------
-
-func (c *Coordinator) handleSuite(w http.ResponseWriter, r *http.Request) {
-	const route = "suite_submit"
-	if c.isDraining() {
-		c.writeError(w, route, http.StatusServiceUnavailable, server.ErrDraining, "coordinator draining", "")
-		return
-	}
-	var req server.SuiteRequest
-	if err := decodeJSON(r, &req); err != nil {
-		c.writeError(w, route, http.StatusBadRequest, server.ErrBadSpec, "bad request body: "+err.Error(), "")
-		return
-	}
-	// The identical normalization (and therefore the identical content
-	// address) as a single backend: a sweep submitted to the coordinator or
-	// straight to a backend is the same sweep.
-	id, err := server.NormalizeSuite(&req)
-	if err != nil {
-		c.writeError(w, route, http.StatusBadRequest, server.ErrBadSpec, err.Error(), "")
-		return
-	}
-	req.Workers = 0 // scheduling is the coordinator's, not the client's
-	c.recordSummary(id, listMeta{kind: "suite",
-		summary: fmt.Sprintf("%d experiments, quick=%t, seed=%d", len(req.IDs), req.Quick, req.Seed)})
-	c.serveComputed(w, r, route, id, func(ctx context.Context) ([]byte, error) {
-		return c.sweepSuite(ctx, req, id)
-	})
+// Close stops the health loop; the front has already cancelled in-flight
+// dispatches.
+func (rc ringCompute) Close(st server.FrontStats) string {
+	rc.baseCancel()
+	<-rc.healthDone
+	sat := rc.Saturation()
+	return fmt.Sprintf("cluster: %d/%d backends live, %.2f rps capacity; cache: %d entries, %d bytes; coalesced %d, redispatched %d",
+		sat.Live, len(rc.order), sat.ClusterRPS, st.Cache.Entries, st.Cache.Bytes,
+		st.Coalesced, rc.met.redispatchCount())
 }
+
+// --- sweeps --------------------------------------------------------------
 
 // sweepSuite runs one sweep with the experiment harness local and every
 // simulation delegated: the suite enumerates the run matrix, each cell's
@@ -523,18 +356,16 @@ func (c *Coordinator) sweepSuite(ctx context.Context, req server.SuiteRequest, i
 		cancel() // the sweep cannot complete; stop the whole matrix
 	}
 
-	workers := c.cfg.SuiteWorkers
-	if workers <= 0 {
-		// Adaptive: enough concurrent shards to fill every live backend's
-		// window (workers + queue) without tripping 429s.
-		for _, s := range c.snapshots() {
-			if s.Alive {
-				workers += s.Workers + s.Queue
-			}
+	// Adaptive width: enough concurrent shards to fill every live backend's
+	// window (workers + queue) without tripping 429s.
+	workers := 0
+	for _, s := range c.snapshots() {
+		if s.Alive {
+			workers += s.Workers + s.Queue
 		}
-		if workers < 4 {
-			workers = 4
-		}
+	}
+	if workers < 4 {
+		workers = 4
 	}
 
 	suite := hpe.NewSuite(hpe.SuiteOptions{
@@ -567,65 +398,4 @@ func (c *Coordinator) sweepSuite(ctx context.Context, req server.SuiteRequest, i
 		return nil, err
 	}
 	return server.RenderSuiteBody(id, req, reports)
-}
-
-// --- catalog, health, metrics --------------------------------------------
-
-func (c *Coordinator) handlePolicies(w http.ResponseWriter, r *http.Request) {
-	// The registry is compiled into the coordinator too: serve the identical
-	// bytes locally instead of proxying.
-	c.writeBody(w, "policies", http.StatusOK, "", server.PoliciesBody())
-}
-
-func (c *Coordinator) handleApps(w http.ResponseWriter, r *http.Request) {
-	c.writeBody(w, "apps", http.StatusOK, "", server.AppsBody())
-}
-
-func (c *Coordinator) handleScenarios(w http.ResponseWriter, r *http.Request) {
-	c.writeBody(w, "scenarios", http.StatusOK, "", server.ScenariosBody())
-}
-
-// ClusterHealthBody is the coordinator's /healthz response.
-type ClusterHealthBody struct {
-	Status   string `json:"status"`
-	Backends int    `json:"backends"`
-	Live     int    `json:"live"`
-	// Workers is the summed simulation capacity of the live backends.
-	Workers int `json:"workers"`
-}
-
-func (c *Coordinator) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	const route = "healthz"
-	if c.isDraining() {
-		c.writeError(w, route, http.StatusServiceUnavailable, server.ErrDraining, "draining", "")
-		return
-	}
-	hb := ClusterHealthBody{Status: "ok", Backends: len(c.order)}
-	for _, s := range c.snapshots() {
-		if s.Alive {
-			hb.Live++
-			hb.Workers += s.Workers
-		}
-	}
-	if hb.Live == 0 {
-		c.writeError(w, route, http.StatusServiceUnavailable, server.ErrBackendUnavailable,
-			"no live backends", "")
-		return
-	}
-	body, _ := json.Marshal(hb)
-	c.writeBody(w, route, http.StatusOK, "", append(body, '\n'))
-}
-
-func (c *Coordinator) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	w.Header().Set("Content-Type", promtext.ContentType)
-	c.met.render(w, c.snapshots(), c.Saturation(), c.cache.Snapshot(), c.co.Coalesced())
-	c.met.observeRequest("metrics", http.StatusOK)
-}
-
-// decodeJSON reads a bounded request body with unknown fields rejected,
-// matching the backend's decoding discipline.
-func decodeJSON(r *http.Request, v any) error {
-	dec := json.NewDecoder(http.MaxBytesReader(nil, r.Body, 1<<20))
-	dec.DisallowUnknownFields()
-	return dec.Decode(v)
 }

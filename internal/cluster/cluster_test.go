@@ -506,6 +506,54 @@ func TestMergedEnumeration(t *testing.T) {
 			t.Fatalf("pagination order diverges at %d: %q vs %q", i, paged[i], e.ID)
 		}
 	}
+
+	// Workload-v2 specs have no app: the coordinator must list them with the
+	// summary their owning backend lists ("phases:…", "tenants:…").
+	for _, sp := range []string{
+		`{"phases":"HOT:32,HSD:96","policy":"lru","rate":75}`,
+		`{"tenants":"HSD,BFS","policy":"lru","rate":75}`,
+	} {
+		code, body, _ := post(t, tc.front.URL, "/v1/runs", sp)
+		if code != http.StatusOK {
+			t.Fatalf("scenario run: status %d: %s", code, body)
+		}
+		var rr server.RunResponse
+		if err := json.Unmarshal(body, &rr); err != nil {
+			t.Fatal(err)
+		}
+		backendEntry, ok := listedEntry(t, tc.backends[0].ts.URL, rr.ID)
+		for _, cb := range tc.backends[1:] {
+			if !ok {
+				backendEntry, ok = listedEntry(t, cb.ts.URL, rr.ID)
+			}
+		}
+		if !ok || backendEntry.Summary == "" {
+			t.Fatalf("no backend lists %s with a summary", rr.ID)
+		}
+		coordEntry, ok := listedEntry(t, tc.front.URL, rr.ID)
+		if !ok || coordEntry.Summary != backendEntry.Summary {
+			t.Fatalf("coordinator lists %s as %q, backend as %q", rr.ID, coordEntry.Summary, backendEntry.Summary)
+		}
+	}
+}
+
+// listedEntry finds id in base's GET /v1/runs listing.
+func listedEntry(t *testing.T, base, id string) (server.RunListEntry, bool) {
+	t.Helper()
+	code, body := get(t, base, "/v1/runs")
+	if code != http.StatusOK {
+		t.Fatalf("list %s: status %d: %s", base, code, body)
+	}
+	var list server.RunListResponse
+	if err := json.Unmarshal(body, &list); err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range list.Runs {
+		if e.ID == id {
+			return e, true
+		}
+	}
+	return server.RunListEntry{}, false
 }
 
 // --- surface parity ------------------------------------------------------

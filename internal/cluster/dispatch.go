@@ -26,18 +26,6 @@ import (
 // a backend able to run it.
 var errNoBackends = errors.New("no usable backend")
 
-// permanentError wraps a backend rejection that retrying cannot fix (a 4xx:
-// the request itself is wrong). The coordinator surfaces the backend's own
-// envelope verbatim.
-type permanentError struct {
-	status int
-	body   server.ErrorBody
-}
-
-func (e *permanentError) Error() string {
-	return fmt.Sprintf("backend rejected shard: %s (%s)", e.body.Message, e.body.Code)
-}
-
 // dispatchRun executes one run spec on the cluster and returns the owning
 // backend's response body verbatim (a server.RunResponse). Determinism makes
 // any backend's bytes THE bytes, so the coordinator can cache and serve them
@@ -76,8 +64,8 @@ func (c *Coordinator) dispatchRun(ctx context.Context, sp hpe.RunSpec, id string
 			if err == nil {
 				return body, nil
 			}
-			var perm *permanentError
-			if errors.As(err, &perm) {
+			var rejected *server.Error
+			if errors.As(err, &rejected) {
 				return nil, err
 			}
 			if ctx.Err() != nil {
@@ -170,11 +158,13 @@ func (c *Coordinator) tryBackend(ctx context.Context, b *backend, specBody []byt
 		return nil, hint, fmt.Errorf("backend backpressure (%d)", resp.StatusCode)
 
 	case resp.StatusCode >= 400 && resp.StatusCode < 500:
+		// The request itself is wrong: retrying cannot fix it, and the
+		// backend's envelope reaches the client verbatim.
 		eb, ok := server.DecodeError(raw)
 		if !ok {
 			eb = server.ErrorBody{Code: server.ErrInternal, Message: string(raw)}
 		}
-		return nil, 0, &permanentError{status: resp.StatusCode, body: eb}
+		return nil, 0, &server.Error{Status: resp.StatusCode, Body: eb}
 
 	default:
 		b.recordFailure(time.Now(), c.cfg.BreakerThreshold, c.cfg.BreakerCooldown)
@@ -186,9 +176,22 @@ func (c *Coordinator) tryBackend(ctx context.Context, b *backend, specBody []byt
 // body is ~1 MiB; run bodies are a few KiB).
 const maxResponseBytes = 64 << 20
 
-// readAllLimited drains one bounded backend response body.
-func readAllLimited(r io.Reader) ([]byte, error) {
-	return io.ReadAll(io.LimitReader(r, maxResponseBytes))
+// proxyGet performs one GET against one backend and returns status + body.
+func (c *Coordinator) proxyGet(ctx context.Context, name, path string) (int, []byte, error) {
+	req, err := http.NewRequestWithContext(ctx, http.MethodGet, name+path, nil)
+	if err != nil {
+		return 0, nil, err
+	}
+	resp, err := c.client.Do(req)
+	if err != nil {
+		return 0, nil, err
+	}
+	defer resp.Body.Close()
+	body, err := io.ReadAll(io.LimitReader(resp.Body, maxResponseBytes))
+	if err != nil {
+		return 0, nil, err
+	}
+	return resp.StatusCode, body, nil
 }
 
 // sleepCtx sleeps d or returns early with the context's error.

@@ -2,43 +2,30 @@ package cluster
 
 import (
 	"io"
+	"maps"
 	"sync"
 	"time"
 
 	"hpe/internal/promtext"
-	"hpe/internal/respcache"
+	"hpe/internal/server"
 	"hpe/internal/stats"
 )
 
-// clusterMetrics aggregates the coordinator's operational counters: HTTP
-// responses, shard dispatch outcomes per backend, re-dispatches, and the
-// shard service-latency histogram the saturation analyzer cross-checks.
+// clusterMetrics aggregates the coordinator's dispatch counters: shard
+// outcomes per backend, re-dispatches, and the shard service-latency
+// histogram the saturation analyzer cross-checks. HTTP responses are counted
+// by the front (server.FrontStats).
 type clusterMetrics struct {
 	mu sync.Mutex
 
-	requests map[string]uint64 // guarded by mu; "route code" → count
-	shards   map[string]uint64 // guarded by mu; backend → shards completed
+	shards map[string]uint64 // guarded by mu; backend → shards completed
 
 	redispatched uint64          // guarded by mu; shards tried off their primary owner or re-tried
 	shardLat     stats.Histogram // guarded by mu; shard round-trip, µs
 }
 
 func newClusterMetrics() *clusterMetrics {
-	return &clusterMetrics{
-		requests: make(map[string]uint64),
-		shards:   make(map[string]uint64),
-	}
-}
-
-func (m *clusterMetrics) observeRequest(route string, code int) {
-	m.mu.Lock()
-	m.requests[route+" "+itoa(code)]++
-	m.mu.Unlock()
-}
-
-func itoa(code int) string {
-	// Status codes are three digits; avoid strconv on the request path.
-	return string([]byte{byte('0' + code/100), byte('0' + code/10%10), byte('0' + code%10)})
+	return &clusterMetrics{shards: make(map[string]uint64)}
 }
 
 // shardDone records one shard served by the named backend.
@@ -65,30 +52,29 @@ func (m *clusterMetrics) redispatchCount() uint64 {
 }
 
 // render writes the full Prometheus exposition: the metrics' own counters
-// plus the point-in-time backend, saturation, cache, and coalescer figures
-// the Coordinator passes in.
-func (m *clusterMetrics) render(w io.Writer, snaps []backendSnapshot, sat Saturation,
-	cs respcache.Stats, coalesced uint64) {
+// plus the front's figures and the point-in-time backend and saturation
+// figures the Coordinator passes in.
+func (m *clusterMetrics) render(w io.Writer, st server.FrontStats, snaps []backendSnapshot, sat Saturation) {
 	// Snapshot under the lock, render outside it: w is an HTTP response, and
 	// a slow scraper must not stall shard-dispatch bookkeeping behind the
 	// socket write (hpelint/lockorder).
 	m.mu.Lock()
-	requests := copyCounts(m.requests)
-	shards := copyCounts(m.shards)
+	shards := maps.Clone(m.shards)
 	redispatched := m.redispatched
 	shardLat := m.shardLat
 	m.mu.Unlock()
+	cs := st.Cache
 	p := promtext.New(w)
 
 	p.LabelledCounter("hped_cluster_requests_total",
-		"Coordinator HTTP responses by route and status code.", requests, "route_code")
+		"Coordinator HTTP responses by route and status code.", st.Requests, "route_code")
 	p.LabelledCounter("hped_cluster_shards_total",
 		"Shards completed, by owning backend.", shards, "backend")
 	p.Counter("hped_cluster_redispatched_total",
 		"Shard attempts routed past their primary owner (dead, broken, or saturated).",
 		redispatched)
 	p.Counter("hped_cluster_coalesced_total",
-		"Coordinator requests served by joining an identical in-flight computation.", coalesced)
+		"Coordinator requests served by joining an identical in-flight computation.", st.Coalesced)
 
 	up := make(map[string]float64, len(snaps))
 	open := make(map[string]float64, len(snaps))
@@ -144,16 +130,6 @@ func (m *clusterMetrics) render(w io.Writer, snaps []backendSnapshot, sat Satura
 
 	p.Histogram("hped_cluster_shard_latency_seconds",
 		"Round-trip latency of one shard dispatched to a backend.", &shardLat, 1e-6)
-}
-
-// copyCounts duplicates a counter map so render can release the metrics
-// lock before any byte reaches the response writer.
-func copyCounts(src map[string]uint64) map[string]uint64 {
-	out := make(map[string]uint64, len(src))
-	for k, v := range src {
-		out[k] = v
-	}
-	return out
 }
 
 func b2f(b bool) float64 {

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"hpe/internal/respcache"
+	"hpe/internal/server"
 )
 
 // lockProbeWriter observes, at every Write, whether the metrics mutex is
@@ -32,12 +33,13 @@ func (p *lockProbeWriter) Write(b []byte) (int, error) {
 
 func TestClusterRenderReleasesLockBeforeWriting(t *testing.T) {
 	m := newClusterMetrics()
-	m.observeRequest("run_submit", 200)
 	m.shardDone("b1", 5*time.Millisecond)
 	m.redispatch()
 
 	pw := &lockProbeWriter{mu: &m.mu}
-	m.render(pw, nil, Saturation{}, respcache.Stats{Hits: 2}, 1)
+	front := server.FrontStats{Requests: map[string]uint64{"run_submit 200": 1},
+		Cache: respcache.Stats{Hits: 2}, Coalesced: 1}
+	m.render(pw, front, nil, Saturation{})
 
 	if !pw.wrote {
 		t.Fatal("render wrote nothing")

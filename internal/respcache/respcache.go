@@ -6,6 +6,10 @@
 // every simulation is deterministic, a hit is byte-identical to what a fresh
 // simulation would render — the cache can never serve a stale or wrong body,
 // only save the minutes it would take to recompute one.
+//
+// Each entry also carries its enumeration summary (GET /v1/runs), so the
+// summary of a cached ID lives and dies with its body and no separate index
+// can outgrow the cache.
 package respcache
 
 import (
@@ -26,8 +30,9 @@ type Cache struct {
 }
 
 type cacheEntry struct {
-	id   string
-	body []byte
+	id      string
+	body    []byte
+	summary string
 }
 
 // New builds a cache with the given byte budget. A budget <= 0 disables
@@ -54,10 +59,12 @@ func (c *Cache) Get(id string) ([]byte, bool) {
 	return el.Value.(*cacheEntry).body, true
 }
 
-// Put inserts body under id, evicting least-recently-used entries until the
-// byte budget holds. A body larger than the whole budget is not cached.
-// Callers must not mutate body after handing it over.
-func (c *Cache) Put(id string, body []byte) {
+// Put inserts body under id with its one-line enumeration summary, evicting
+// least-recently-used entries until the byte budget holds. The budget counts
+// bodies only; a summary is a sketch of the request the body already
+// embeds. A body larger than the whole budget is not cached. Callers must
+// not mutate body after handing it over.
+func (c *Cache) Put(id string, body []byte, summary string) {
 	if int64(len(body)) > c.budget {
 		return
 	}
@@ -65,11 +72,14 @@ func (c *Cache) Put(id string, body []byte) {
 	defer c.mu.Unlock()
 	if el, ok := c.items[id]; ok {
 		// Deterministic results make re-insertion a no-op byte-wise; just
-		// refresh recency.
+		// refresh recency, and fill a summary the first insertion lacked.
 		c.ll.MoveToFront(el)
+		if ent := el.Value.(*cacheEntry); ent.summary == "" {
+			ent.summary = summary
+		}
 		return
 	}
-	c.ll.PushFront(&cacheEntry{id: id, body: body})
+	c.ll.PushFront(&cacheEntry{id: id, body: body, summary: summary})
 	c.items[id] = c.ll.Front()
 	c.bytes += int64(len(body))
 	for c.bytes > c.budget {
@@ -85,17 +95,24 @@ func (c *Cache) Put(id string, body []byte) {
 	}
 }
 
-// IDs returns every cached ID in canonical (lexicographic) order — the
-// enumeration order GET /v1/runs paginates in.
-func (c *Cache) IDs() []string {
+// Listed is one cached ID and its enumeration summary.
+type Listed struct {
+	ID      string
+	Summary string
+}
+
+// Listing returns every cached ID with its summary in canonical
+// (lexicographic) ID order — the enumeration order GET /v1/runs paginates
+// in.
+func (c *Cache) Listing() []Listed {
 	c.mu.Lock()
-	ids := make([]string, 0, len(c.items))
-	for id := range c.items {
-		ids = append(ids, id)
+	out := make([]Listed, 0, len(c.items))
+	for id, el := range c.items {
+		out = append(out, Listed{ID: id, Summary: el.Value.(*cacheEntry).summary})
 	}
 	c.mu.Unlock()
-	sort.Strings(ids)
-	return ids
+	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
+	return out
 }
 
 // Stats is a point-in-time snapshot for /metrics and shutdown logging.

@@ -7,13 +7,13 @@ import (
 
 func TestLRUEviction(t *testing.T) {
 	c := New(10)
-	c.Put("a", []byte("aaaa")) // 4 bytes
-	c.Put("b", []byte("bbbb")) // 8 bytes
+	c.Put("a", []byte("aaaa"), "") // 4 bytes
+	c.Put("b", []byte("bbbb"), "") // 8 bytes
 	if _, ok := c.Get("a"); !ok {
 		t.Fatal("a missing before budget pressure")
 	}
 	// a is now most recently used; inserting 4 more bytes must evict b.
-	c.Put("c", []byte("cccc"))
+	c.Put("c", []byte("cccc"), "")
 	if _, ok := c.Get("b"); ok {
 		t.Error("b survived eviction despite being least recently used")
 	}
@@ -31,7 +31,7 @@ func TestLRUEviction(t *testing.T) {
 
 func TestOversizedBodySkipped(t *testing.T) {
 	c := New(4)
-	c.Put("big", []byte("too large"))
+	c.Put("big", []byte("too large"), "")
 	if _, ok := c.Get("big"); ok {
 		t.Error("body larger than the whole budget was cached")
 	}
@@ -42,10 +42,10 @@ func TestOversizedBodySkipped(t *testing.T) {
 
 func TestReinsertRefreshesRecency(t *testing.T) {
 	c := New(8)
-	c.Put("a", []byte("aaaa"))
-	c.Put("b", []byte("bbbb"))
-	c.Put("a", []byte("aaaa")) // refresh, not duplicate
-	c.Put("c", []byte("cccc")) // must evict b, not a
+	c.Put("a", []byte("aaaa"), "")
+	c.Put("b", []byte("bbbb"), "")
+	c.Put("a", []byte("aaaa"), "") // refresh, not duplicate
+	c.Put("c", []byte("cccc"), "") // must evict b, not a
 	if _, ok := c.Get("a"); !ok {
 		t.Error("re-inserted entry was evicted")
 	}
@@ -56,7 +56,7 @@ func TestReinsertRefreshesRecency(t *testing.T) {
 
 func TestDisabled(t *testing.T) {
 	c := New(-1)
-	c.Put("a", []byte("aaaa"))
+	c.Put("a", []byte("aaaa"), "")
 	if _, ok := c.Get("a"); ok {
 		t.Error("negative budget should disable caching")
 	}
@@ -65,10 +65,34 @@ func TestDisabled(t *testing.T) {
 func TestIDsCanonicalOrder(t *testing.T) {
 	c := New(1 << 20)
 	for _, id := range []string{"run-v2-zz", "run-v2-aa", "suite-00", "run-v2-mm"} {
-		c.Put(id, []byte("x"))
+		c.Put(id, []byte("x"), "sketch of "+id)
 	}
-	want := []string{"run-v2-aa", "run-v2-mm", "run-v2-zz", "suite-00"}
-	if got := c.IDs(); !reflect.DeepEqual(got, want) {
-		t.Errorf("IDs() = %v, want canonical order %v", got, want)
+	want := []Listed{
+		{"run-v2-aa", "sketch of run-v2-aa"},
+		{"run-v2-mm", "sketch of run-v2-mm"},
+		{"run-v2-zz", "sketch of run-v2-zz"},
+		{"suite-00", "sketch of suite-00"},
+	}
+	if got := c.Listing(); !reflect.DeepEqual(got, want) {
+		t.Errorf("Listing() = %v, want canonical order %v", got, want)
+	}
+}
+
+// TestSummaryTravelsWithEntry checks a summary leaves the listing with its
+// evicted body, and that re-inserting fills a summary the first Put lacked.
+func TestSummaryTravelsWithEntry(t *testing.T) {
+	c := New(8)
+	c.Put("a", []byte("aaaa"), "")
+	c.Put("a", []byte("aaaa"), "A")
+	c.Put("b", []byte("bbbb"), "B")
+	c.Put("c", []byte("cccc"), "C") // evicts a
+	want := []Listed{{"b", "B"}, {"c", "C"}}
+	if got := c.Listing(); !reflect.DeepEqual(got, want) {
+		t.Errorf("Listing() = %v, want %v", got, want)
+	}
+	c.Put("b", []byte("bbbb"), "B")
+	c.Put("d", []byte("dddd"), "D") // evicts c
+	if got := c.Listing(); !reflect.DeepEqual(got, []Listed{{"b", "B"}, {"d", "D"}}) {
+		t.Errorf("after eviction Listing() = %v", got)
 	}
 }

@@ -100,7 +100,7 @@ func TestConcurrentIdenticalRunsCoalesce(t *testing.T) {
 			if got := srv.co.Coalesced(); got != 1 {
 				t.Errorf("coalesced counter = %d, want 1", got)
 			}
-			started, completed, _, _ := srv.met.runsSnapshot()
+			started, completed, _, _ := localOf(srv).met.runsSnapshot()
 			if started != 1 || completed != 1 {
 				t.Errorf("runs started=%d completed=%d, want exactly one simulation", started, completed)
 			}

@@ -2,6 +2,7 @@ package server
 
 import (
 	"encoding/json"
+	"fmt"
 	"net/http"
 )
 
@@ -56,6 +57,17 @@ type ErrorBody struct {
 type ErrorEnvelope struct {
 	Err ErrorBody `json:"error"`
 }
+
+// Error is a failure that already carries its /v1 response: a status and
+// an envelope. A compute seam returns one when the classification is its
+// own — a full admission queue, a backend rejection relayed verbatim, an
+// exhausted ring — and the front writes it as is.
+type Error struct {
+	Status int
+	Body   ErrorBody
+}
+
+func (e *Error) Error() string { return fmt.Sprintf("%s (%s)", e.Body.Message, e.Body.Code) }
 
 // EncodeError renders the envelope body (newline-terminated, like every
 // other /v1 body).

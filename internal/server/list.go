@@ -1,6 +1,7 @@
 package server
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"net/http"
@@ -12,9 +13,10 @@ import (
 
 // GET /v1/runs — run enumeration. Lists every cached and in-flight
 // computation ID with a short spec summary, in canonical (lexicographic) ID
-// order, paginated with limit/after. The cluster coordinator reconciles
-// shard state over this endpoint instead of a side channel: the union of the
-// backends' listings is the cluster's run inventory.
+// order, paginated with limit/after. On the cluster coordinator the compute
+// seam merges in every live backend's listing over this same endpoint
+// instead of a side channel: the union of the backends' listings is the
+// cluster's run inventory.
 
 // RunListEntry is one enumerated computation.
 type RunListEntry struct {
@@ -25,8 +27,8 @@ type RunListEntry struct {
 	// Kind is "run" or "suite".
 	Kind string `json:"kind"`
 	// Summary is a one-line human sketch of the request ("HSD hpe @75%");
-	// empty when the entry predates this server's summary index (e.g. a
-	// coordinator merging an older backend).
+	// empty when the lister never saw the request (e.g. a coordinator
+	// caching a body it fetched by ID, before any backend lists it).
 	Summary string `json:"summary,omitempty"`
 }
 
@@ -44,19 +46,20 @@ const (
 	maxListLimit     = 5000
 )
 
-// runSummary is the enumeration metadata recorded at submission time.
-type runSummary struct {
-	Kind    string
-	Summary string
+// trackFlight indexes a leader computation's summary for the listing while
+// it runs; untrackFlight drops it when the flight ends. Cached IDs carry
+// their summary in the result cache, so the index never holds more than the
+// in-flight computations.
+func (s *Server) trackFlight(id, summary string) {
+	s.flightMu.Lock()
+	s.flights[id] = summary
+	s.flightMu.Unlock()
 }
 
-// recordSummary indexes id for GET /v1/runs. The index is pruned against
-// cache + in-flight membership on every listing, so it cannot grow past the
-// set of ids the server can actually answer for.
-func (s *Server) recordSummary(id string, sum runSummary) {
-	s.sumMu.Lock()
-	s.summaries[id] = sum
-	s.sumMu.Unlock()
+func (s *Server) untrackFlight(id string) {
+	s.flightMu.Lock()
+	delete(s.flights, id)
+	s.flightMu.Unlock()
 }
 
 // specSummary renders a run spec's one-line enumeration sketch.
@@ -75,8 +78,7 @@ func specSummary(sp runspec.Spec) string {
 	return out
 }
 
-// ParseListQuery extracts the shared limit/after pagination parameters; the
-// coordinator parses the identical query surface.
+// ParseListQuery extracts the limit/after pagination parameters.
 func ParseListQuery(r *http.Request) (limit int, after string, err error) {
 	limit = defaultListLimit
 	if raw := r.URL.Query().Get("limit"); raw != "" {
@@ -91,42 +93,49 @@ func ParseListQuery(r *http.Request) (limit int, after string, err error) {
 	return limit, r.URL.Query().Get("after"), nil
 }
 
-// ListRuns enumerates the server's cached and in-flight computations in
-// canonical ID order, applying limit/after pagination.
-func (s *Server) ListRuns(limit int, after string) RunListResponse {
-	cached := s.cache.IDs()
+// listRuns enumerates the cached and in-flight computations — the front's
+// own and whatever the compute seam adds — in canonical ID order, applying
+// limit/after pagination.
+func (s *Server) listRuns(ctx context.Context, limit int, after string) (RunListResponse, *Error) {
+	entries := make(map[string]RunListEntry)
+	keep := func(e RunListEntry) {
+		prev, ok := entries[e.ID]
+		if !ok {
+			entries[e.ID] = e
+			return
+		}
+		// A cached entry wins over a running one (the bytes are final), and
+		// any summary beats an empty one.
+		if e.Status == "cached" {
+			prev.Status = "cached"
+		}
+		if prev.Summary == "" {
+			prev.Summary = e.Summary
+		}
+		entries[e.ID] = prev
+	}
+	for _, e := range s.cache.Listing() {
+		keep(RunListEntry{ID: e.ID, Status: "cached", Kind: kindOfID(e.ID), Summary: e.Summary})
+	}
 	inflight := s.co.InflightIDs()
+	summaries := make([]string, len(inflight))
+	s.flightMu.Lock()
+	for i, id := range inflight {
+		summaries[i] = s.flights[id]
+	}
+	s.flightMu.Unlock()
+	for i, id := range inflight {
+		keep(RunListEntry{ID: id, Status: "running", Kind: kindOfID(id), Summary: summaries[i]})
+	}
+	if err := s.comp.List(ctx, keep); err != nil {
+		return RunListResponse{}, err
+	}
 
-	status := make(map[string]string, len(cached)+len(inflight))
-	for _, id := range inflight {
-		status[id] = "running"
-	}
-	for _, id := range cached {
-		status[id] = "cached" // a cached entry wins: the bytes are final
-	}
-	ids := make([]string, 0, len(status))
-	for id := range status {
+	ids := make([]string, 0, len(entries))
+	for id := range entries {
 		ids = append(ids, id)
 	}
 	sort.Strings(ids)
-
-	// Prune the summary index down to ids the server can still answer for.
-	live := make(map[string]bool, len(ids))
-	for _, id := range ids {
-		live[id] = true
-	}
-	s.sumMu.Lock()
-	for id := range s.summaries {
-		if !live[id] {
-			delete(s.summaries, id)
-		}
-	}
-	sums := make(map[string]runSummary, len(ids))
-	for id, sum := range s.summaries {
-		sums[id] = sum
-	}
-	s.sumMu.Unlock()
-
 	var out RunListResponse
 	for _, id := range ids {
 		if after != "" && id <= after {
@@ -136,18 +145,12 @@ func (s *Server) ListRuns(limit int, after string) RunListResponse {
 			out.Truncated = true
 			break
 		}
-		sum := sums[id]
-		if sum.Kind == "" {
-			sum.Kind = kindOfID(id)
-		}
-		out.Runs = append(out.Runs, RunListEntry{ID: id, Status: status[id],
-			Kind: sum.Kind, Summary: sum.Summary})
+		out.Runs = append(out.Runs, entries[id])
 	}
-	return out
+	return out, nil
 }
 
-// kindOfID classifies an ID by its content-address prefix when no summary
-// was recorded.
+// kindOfID classifies an ID by its content-address prefix.
 func kindOfID(id string) string {
 	if len(id) >= 6 && id[:6] == "suite-" {
 		return "suite"
@@ -162,7 +165,12 @@ func (s *Server) handleListRuns(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, route, http.StatusBadRequest, ErrBadSpec, err.Error(), "")
 		return
 	}
-	body, err := json.Marshal(s.ListRuns(limit, after))
+	list, failed := s.listRuns(r.Context(), limit, after)
+	if failed != nil {
+		s.writeTyped(w, route, failed)
+		return
+	}
+	body, err := json.Marshal(list)
 	if err != nil {
 		s.writeError(w, route, http.StatusInternalServerError, ErrInternal, err.Error(), "")
 		return

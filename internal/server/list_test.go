@@ -2,6 +2,7 @@ package server
 
 import (
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"net/url"
@@ -240,5 +241,66 @@ func TestParseListQuery(t *testing.T) {
 	}
 	if _, after, err := ParseListQuery(mk("after=run-v2-abc")); err != nil || after != "run-v2-abc" {
 		t.Errorf("after: %q, %v", after, err)
+	}
+}
+
+// TestSummaryIndexBounded: the enumeration-summary index holds only
+// in-flight computations, because a cached ID's summary lives in its cache
+// entry. Distinct specs sent to a server whose 1 KiB cache holds none of
+// their bodies, with no listing in between, must leave it empty; and each
+// listed entry carries the summary of the spec it addresses.
+func TestSummaryIndexBounded(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs real simulations")
+	}
+	srv, ts := newTestServer(t, Config{Workers: 2, CacheBytes: 1 << 10})
+	indexed := func() int {
+		srv.flightMu.Lock()
+		defer srv.flightMu.Unlock()
+		return len(srv.flights)
+	}
+	for rate := 40; rate < 52; rate++ {
+		spec := fmt.Sprintf(`{"app":"KMN","policy":"lru","rate":%d}`, rate)
+		if code, _, body := postRun(t, ts.Client(), ts.URL, spec); code != http.StatusOK {
+			t.Fatalf("run: status %d: %s", code, body)
+		}
+		if n, inflight := indexed(), len(srv.co.InflightIDs()); n > inflight {
+			t.Fatalf("after %d distinct specs the index holds %d summaries for %d in-flight runs",
+				rate-39, n, inflight)
+		}
+	}
+
+	_, ts = newTestServer(t, Config{Workers: 2})
+	want := map[string]string{}
+	for _, spec := range []string{
+		`{"app":"HSD","policy":"hpe","rate":75}`,
+		`{"phases":"HOT:16,HSD:32","policy":"lru","rate":75}`,
+		`{"tenants":"HSD,BFS","policy":"lru","rate":75}`,
+	} {
+		code, _, body := postRun(t, ts.Client(), ts.URL, spec)
+		if code != http.StatusOK {
+			t.Fatalf("run: status %d: %s", code, body)
+		}
+		var rr RunResponse
+		if err := json.Unmarshal(body, &rr); err != nil {
+			t.Fatal(err)
+		}
+		want[rr.ID] = specSummary(rr.Request)
+	}
+	code, body := get(t, ts, "/v1/runs")
+	if code != http.StatusOK {
+		t.Fatalf("list: status %d: %s", code, body)
+	}
+	var list RunListResponse
+	if err := json.Unmarshal(body, &list); err != nil {
+		t.Fatal(err)
+	}
+	if len(list.Runs) != len(want) {
+		t.Fatalf("listed %d runs, want %d", len(list.Runs), len(want))
+	}
+	for _, e := range list.Runs {
+		if e.Summary != want[e.ID] {
+			t.Errorf("entry %s summary %q, want %q", e.ID, e.Summary, want[e.ID])
+		}
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"io"
+	"maps"
 	"sync"
 	"time"
 
@@ -13,37 +14,17 @@ import (
 	"hpe/internal/stats"
 )
 
-// serverMetrics aggregates the daemon's operational counters and latency
-// histograms. Latencies land in internal/stats power-of-two histograms
-// (observed in microseconds, exported in seconds); simulation-level event
-// counts are merged from each run's probe.Metrics snapshot, so /metrics
-// exposes both the serving layer and the simulated machine it fronts.
-type serverMetrics struct {
-	mu sync.Mutex
-
-	requests map[string]uint64 // guarded by mu; "route code" → count
-
-	runsStarted   uint64 // guarded by mu
-	runsCompleted uint64 // guarded by mu
-	runsCancelled uint64 // guarded by mu
-	runsFailed    uint64 // guarded by mu
-
-	simEvents map[string]uint64 // guarded by mu; probe kind name → total events
-
-	cachedLat stats.Histogram // guarded by mu; cache-hit responses, µs
-	simLat    stats.Histogram // guarded by mu; full simulations, µs
-	suiteLat  stats.Histogram // guarded by mu; suite sweeps, µs
-}
-
-func newServerMetrics() *serverMetrics {
-	return &serverMetrics{
-		requests:  make(map[string]uint64),
-		simEvents: make(map[string]uint64),
-	}
+// frontMetrics is what the /v1 front observes on either daemon: responses by
+// route and status code, and the latency of cache hits. Each compute seam
+// renders them under its own series names (FrontStats).
+type frontMetrics struct {
+	mu        sync.Mutex
+	requests  map[string]uint64 // guarded by mu; "route code" → count
+	cachedLat stats.Histogram   // guarded by mu; cache-hit responses, µs
 }
 
 // observeRequest counts one HTTP response by route and status code.
-func (m *serverMetrics) observeRequest(route string, code int) {
+func (m *frontMetrics) observeRequest(route string, code int) {
 	m.mu.Lock()
 	m.requests[route+" "+itoa(code)]++
 	m.mu.Unlock()
@@ -55,10 +36,53 @@ func itoa(code int) string {
 }
 
 // observeCachedHit records a cache-hit response latency.
-func (m *serverMetrics) observeCachedHit(d time.Duration) {
+func (m *frontMetrics) observeCachedHit(d time.Duration) {
 	m.mu.Lock()
 	m.cachedLat.Observe(uint64(d.Microseconds()))
 	m.mu.Unlock()
+}
+
+// snapshot copies the counters out, so a renderer can release the lock
+// before any byte reaches the response writer.
+func (m *frontMetrics) snapshot() (map[string]uint64, stats.Histogram) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return maps.Clone(m.requests), m.cachedLat
+}
+
+// FrontStats is the front's point-in-time state, handed to the compute
+// seam's /metrics renderer and its Close line.
+type FrontStats struct {
+	// Requests counts responses by "route code".
+	Requests map[string]uint64
+	// CachedHit is the cache-hit latency histogram, in µs.
+	CachedHit stats.Histogram
+	Cache     respcache.Stats
+	// Coalesced counts requests that joined an in-flight computation.
+	Coalesced uint64
+}
+
+// serverMetrics aggregates the local simulator's operational counters and
+// latency histograms. Latencies land in internal/stats power-of-two
+// histograms (observed in microseconds, exported in seconds); simulation-level
+// event counts are merged from each run's probe.Metrics snapshot, so /metrics
+// exposes both the serving layer and the simulated machine it fronts.
+type serverMetrics struct {
+	mu sync.Mutex
+
+	runsStarted   uint64 // guarded by mu
+	runsCompleted uint64 // guarded by mu
+	runsCancelled uint64 // guarded by mu
+	runsFailed    uint64 // guarded by mu
+
+	simEvents map[string]uint64 // guarded by mu; probe kind name → total events
+
+	simLat   stats.Histogram // guarded by mu; full simulations, µs
+	suiteLat stats.Histogram // guarded by mu; suite sweeps, µs
+}
+
+func newServerMetrics() *serverMetrics {
+	return &serverMetrics{simEvents: make(map[string]uint64)}
 }
 
 // runStarted/runFinished bracket one leader computation (not coalesced
@@ -121,24 +145,23 @@ func (m *serverMetrics) simEventTotal(kind string) uint64 {
 }
 
 // render writes the full Prometheus exposition, combining the metrics'
-// own state with the point-in-time cache, queue, and coalescer figures the
-// Server passes in.
-func (m *serverMetrics) render(w io.Writer, cs respcache.Stats, queued, running int,
-	rejected, coalesced uint64) {
+// own state with the front's figures and the point-in-time queue figures
+// the local compute passes in.
+func (m *serverMetrics) render(w io.Writer, st FrontStats, queued, running int, rejected uint64) {
 	// Snapshot under the lock, render outside it: w is an HTTP response, and
 	// a slow client scraping /metrics must not stall every request-path
 	// counter update behind the socket write (hpelint/lockorder).
 	m.mu.Lock()
-	requests := copyCounts(m.requests)
-	simEvents := copyCounts(m.simEvents)
+	simEvents := maps.Clone(m.simEvents)
 	runsStarted, runsCompleted := m.runsStarted, m.runsCompleted
 	runsCancelled, runsFailed := m.runsCancelled, m.runsFailed
-	cachedLat, simLat, suiteLat := m.cachedLat, m.simLat, m.suiteLat
+	simLat, suiteLat := m.simLat, m.suiteLat
 	m.mu.Unlock()
+	cs := st.Cache
 	p := promtext.New(w)
 
 	p.LabelledCounter("hped_requests_total",
-		"HTTP responses by route and status code.", requests, "route_code")
+		"HTTP responses by route and status code.", st.Requests, "route_code")
 	p.Counter("hped_runs_started_total",
 		"Leader computations started (coalesced waiters excluded).", runsStarted)
 	p.Counter("hped_runs_completed_total",
@@ -148,7 +171,7 @@ func (m *serverMetrics) render(w io.Writer, cs respcache.Stats, queued, running 
 	p.Counter("hped_runs_failed_total",
 		"Leader computations that errored (including recovered panics).", runsFailed)
 	p.Counter("hped_runs_coalesced_total",
-		"Requests served by joining an identical in-flight computation.", coalesced)
+		"Requests served by joining an identical in-flight computation.", st.Coalesced)
 
 	p.Counter("hped_cache_hits_total", "Result-cache hits.", cs.Hits)
 	p.Counter("hped_cache_misses_total", "Result-cache misses.", cs.Misses)
@@ -162,7 +185,7 @@ func (m *serverMetrics) render(w io.Writer, cs respcache.Stats, queued, running 
 		"Submissions refused with 429 because the admission queue was full.", rejected)
 
 	p.Histogram("hped_cached_hit_latency_seconds",
-		"Latency of responses served from the result cache.", &cachedLat, 1e-6)
+		"Latency of responses served from the result cache.", &st.CachedHit, 1e-6)
 	p.Histogram("hped_run_latency_seconds",
 		"Latency of single-run simulations (leader computations).", &simLat, 1e-6)
 	p.Histogram("hped_suite_latency_seconds",
@@ -170,14 +193,4 @@ func (m *serverMetrics) render(w io.Writer, cs respcache.Stats, queued, running 
 
 	p.LabelledCounter("hped_sim_events_total",
 		"Simulator probe events aggregated across served runs, by kind.", simEvents, "kind")
-}
-
-// copyCounts duplicates a counter map so render can release the metrics
-// lock before any byte reaches the response writer.
-func copyCounts(src map[string]uint64) map[string]uint64 {
-	out := make(map[string]uint64, len(src))
-	for k, v := range src {
-		out[k] = v
-	}
-	return out
 }

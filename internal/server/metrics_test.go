@@ -32,13 +32,14 @@ func (p *lockProbeWriter) Write(b []byte) (int, error) {
 
 func TestRenderReleasesLockBeforeWriting(t *testing.T) {
 	m := newServerMetrics()
-	m.observeRequest("run_submit", 200)
 	m.runStarted()
 	m.runFinished(10*time.Millisecond, nil, false)
-	m.observeCachedHit(time.Millisecond)
+	front := FrontStats{Requests: map[string]uint64{"run_submit 200": 1},
+		Cache: respcache.Stats{Hits: 3, Misses: 1}}
+	front.CachedHit.Observe(1000)
 
 	pw := &lockProbeWriter{mu: &m.mu}
-	m.render(pw, respcache.Stats{Hits: 3, Misses: 1}, 2, 1, 0, 0)
+	m.render(pw, front, 2, 1, 0)
 
 	if !pw.wrote {
 		t.Fatal("render wrote nothing")

@@ -27,6 +27,12 @@
 // determinism contract. Errors are typed envelopes (errors.go): every non-2xx
 // JSON body is {"error":{"code","message","run_id?"}} with a machine-readable
 // code shared verbatim with the cluster coordinator.
+//
+// The coordinator runs on this same Server: New puts the local simulator
+// behind the compute seam (compute.go), NewFront puts the coordinator's ring
+// dispatcher there, and everything else — routes, decoding, content
+// addressing, cache, coalescer, enumeration, envelopes, drain — is one
+// implementation for both daemons.
 package server
 
 import (
@@ -44,14 +50,15 @@ import (
 
 	"hpe"
 	"hpe/internal/flight"
+	"hpe/internal/promtext"
 	"hpe/internal/respcache"
 	"hpe/internal/runspec"
 )
 
 // Config sizes the daemon.
 type Config struct {
-	// Workers is the number of concurrent simulations; defaults to
-	// GOMAXPROCS.
+	// Workers is the number of concurrent simulations, and the cap on one
+	// /v1/suite sweep's parallelism; defaults to GOMAXPROCS.
 	Workers int
 	// QueueDepth is how many admitted computations may wait beyond the
 	// running ones before submissions get 429; defaults to 4×Workers.
@@ -59,9 +66,6 @@ type Config struct {
 	// CacheBytes is the result cache's byte budget; defaults to 256 MiB.
 	// Negative disables caching.
 	CacheBytes int64
-	// SuiteWorkers caps the parallelism of one /v1/suite sweep; defaults
-	// to Workers.
-	SuiteWorkers int
 	// Logf, when non-nil, receives operational log lines.
 	Logf func(format string, args ...any)
 }
@@ -76,56 +80,56 @@ func (c *Config) fillDefaults() {
 	if c.QueueDepth < 0 {
 		c.QueueDepth = 0
 	}
-	if c.CacheBytes == 0 {
-		c.CacheBytes = 256 << 20
-	}
-	if c.SuiteWorkers <= 0 {
-		c.SuiteWorkers = c.Workers
-	}
 }
 
-// Server is the serving core. Construct with New; it is safe for concurrent
+// Server is the /v1 front. Construct with New (local simulation) or
+// NewFront (a cluster coordinator's dispatcher); it is safe for concurrent
 // use and is wired into an http.Server via Handler.
 type Server struct {
-	cfg        Config
+	comp       compute
+	logf       func(format string, args ...any)
 	baseCtx    context.Context
 	baseCancel context.CancelFunc
 	cache      *respcache.Cache
 	co         *flight.Group
-	adm        *admission
-	met        *serverMetrics
+	met        frontMetrics
 	mux        *http.ServeMux
 	draining   chan struct{} // closed by Drain
 	drainOnce  sync.Once
 
-	traceMu sync.Mutex
-	traces  map[string]*traceEntry // guarded by traceMu
-
-	sumMu     sync.Mutex
-	summaries map[string]runSummary // guarded by sumMu; id → enumeration summary
+	flightMu sync.Mutex
+	flights  map[string]string // guarded by flightMu; in-flight id → enumeration summary
 }
 
-type traceEntry struct {
-	once sync.Once
-	tr   *hpe.Trace
-}
-
-// New builds a Server.
+// New builds hped's Server: every computation simulates in-process behind
+// the bounded admission queue.
 func New(cfg Config) *Server {
 	cfg.fillDefaults()
+	return NewFront(newLocal(cfg), cfg.CacheBytes, cfg.Logf)
+}
+
+// NewFront builds a Server whose computations go through comp instead of the
+// local simulator. The cluster coordinator calls it with its ring
+// dispatcher. cacheBytes and logf mean what Config's CacheBytes and Logf do.
+func NewFront(comp compute, cacheBytes int64, logf func(format string, args ...any)) *Server {
+	if cacheBytes == 0 {
+		cacheBytes = 256 << 20
+	}
+	if logf == nil {
+		logf = func(string, ...any) {}
+	}
 	//lint:ignore hpelint/ctxflow the daemon owns its lifecycle root; Close cancels it, and per-request contexts derive from it
 	ctx, cancel := context.WithCancel(context.Background())
 	s := &Server{
-		cfg:        cfg,
+		comp:       comp,
+		logf:       logf,
 		baseCtx:    ctx,
 		baseCancel: cancel,
-		cache:      respcache.New(cfg.CacheBytes),
+		cache:      respcache.New(cacheBytes),
 		co:         flight.NewGroup(),
-		adm:        newAdmission(cfg.Workers, cfg.QueueDepth),
-		met:        newServerMetrics(),
+		met:        frontMetrics{requests: make(map[string]uint64)},
 		draining:   make(chan struct{}),
-		traces:     make(map[string]*traceEntry),
-		summaries:  make(map[string]runSummary),
+		flights:    make(map[string]string),
 	}
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /v1/runs", s.handleSubmitRun)
@@ -160,24 +164,20 @@ func (s *Server) isDraining() bool {
 }
 
 // Close drains the server, cancels every computation still running (their
-// engines stop at the next cancellation poll), and returns a final stats
-// summary for logging — the flush-on-shutdown line.
+// engines or dispatches stop at the next cancellation poll), releases the
+// compute seam, and returns its final stats summary for logging — the
+// flush-on-shutdown line.
 func (s *Server) Close() string {
 	s.Drain()
 	s.baseCancel()
-	cs := s.cache.Snapshot()
-	queued, running := s.adm.Depths()
-	return fmt.Sprintf(
-		"cache: %d entries, %d/%d bytes, %d hits, %d misses, %d evictions; coalesced %d, rejected %d, queued %d, running %d",
-		cs.Entries, cs.Bytes, cs.Budget, cs.Hits, cs.Misses, cs.Evictions,
-		s.co.Coalesced(), s.adm.Rejected(), queued, running)
+	return s.comp.Close(s.stats())
 }
 
-// logf logs through the configured sink.
-func (s *Server) logf(format string, args ...any) {
-	if s.cfg.Logf != nil {
-		s.cfg.Logf(format, args...)
-	}
+// stats snapshots the front's state for the compute seam.
+func (s *Server) stats() FrontStats {
+	requests, cachedHit := s.met.snapshot()
+	return FrontStats{Requests: requests, CachedHit: cachedHit,
+		Cache: s.cache.Snapshot(), Coalesced: s.co.Coalesced()}
 }
 
 // --- response plumbing ---------------------------------------------------
@@ -197,34 +197,19 @@ func (s *Server) writeBody(w http.ResponseWriter, route string, code int, source
 }
 
 // writeError emits one typed error envelope (errors.go). 429 and 503
-// responses carry a Retry-After hint derived from the admission queue's
-// depth, so backpressured clients pace themselves instead of guessing.
+// responses carry a Retry-After hint priced by the compute seam, so
+// backpressured clients pace themselves instead of guessing.
 func (s *Server) writeError(w http.ResponseWriter, route string, status int, code ErrorCode, msg, runID string) {
 	if status == http.StatusTooManyRequests || status == http.StatusServiceUnavailable {
-		w.Header().Set("Retry-After", strconv.Itoa(s.retryAfterSeconds()))
+		w.Header().Set("Retry-After", strconv.Itoa(s.comp.RetryAfter()))
 	}
 	WriteError(w, status, code, msg, runID)
 	s.met.observeRequest(route, status)
 }
 
-// retryAfterSeconds estimates how long a rejected client should wait before
-// the admission queue plausibly has room: the queued-plus-running backlog,
-// divided across the worker pool, priced at the observed mean computation
-// latency (1 s before any run has completed). Clamped to [1, 300].
-func (s *Server) retryAfterSeconds() int {
-	queued, running := s.adm.Depths()
-	mean := s.met.meanRunSeconds()
-	if mean <= 0 {
-		mean = 1
-	}
-	est := math.Ceil(float64(queued+running+1) * mean / float64(s.cfg.Workers))
-	if est < 1 {
-		est = 1
-	}
-	if est > 300 {
-		est = 300
-	}
-	return int(est)
+// writeTyped writes a failure that already carries its response verbatim.
+func (s *Server) writeTyped(w http.ResponseWriter, route string, e *Error) {
+	s.writeError(w, route, e.Status, e.Body.Code, e.Body.Message, e.Body.RunID)
 }
 
 // decodeJSON reads a bounded request body with unknown fields rejected —
@@ -269,16 +254,16 @@ func (s *Server) handleSubmitRun(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	id := sp.ID()
-	s.recordSummary(id, runSummary{Kind: "run", Summary: specSummary(sp)})
-	s.serveComputed(w, r, route, id, false, func(ctx context.Context) ([]byte, error) {
-		return s.simulateRun(ctx, sp, id)
+	s.serveComputed(w, r, route, id, specSummary(sp), func(ctx context.Context) ([]byte, error) {
+		return s.comp.Run(ctx, sp, id)
 	})
 }
 
-// serveComputed is the shared cache → coalesce → admit → compute path for
-// runs and suite sweeps.
-func (s *Server) serveComputed(w http.ResponseWriter, r *http.Request, route, id string,
-	suite bool, compute func(context.Context) ([]byte, error)) {
+// serveComputed is the shared cache → coalesce → compute path for runs and
+// suite sweeps. summary is the ID's enumeration sketch: listed beside the
+// flight while it runs, and stored with the cached body once it completes.
+func (s *Server) serveComputed(w http.ResponseWriter, r *http.Request, route, id, summary string,
+	compute func(context.Context) ([]byte, error)) {
 	start := time.Now()
 	if body, ok := s.cache.Get(id); ok {
 		s.met.observeCachedHit(time.Since(start))
@@ -286,31 +271,28 @@ func (s *Server) serveComputed(w http.ResponseWriter, r *http.Request, route, id
 		return
 	}
 	body, coalesced, err := s.co.Do(r.Context(), s.baseCtx, id, func(ctx context.Context) ([]byte, error) {
-		release, err := s.adm.admit(ctx)
-		if err != nil {
-			return nil, err
-		}
-		defer release()
-		s.met.runStarted()
-		t0 := time.Now()
+		s.trackFlight(id, summary)
+		defer s.untrackFlight(id)
 		body, err := compute(ctx)
-		s.met.runFinished(time.Since(t0), err, suite)
 		if err != nil {
 			return nil, err
 		}
-		s.cache.Put(id, body)
+		s.cache.Put(id, body, summary)
 		return body, nil
 	})
-	source := "simulate"
+	source := s.comp.Source()
 	if coalesced {
 		source = "coalesce"
 	}
+	var typed *Error
 	switch {
 	case err == nil:
 		s.writeBody(w, route, http.StatusOK, source, body)
-	case errors.Is(err, errQueueFull):
-		s.writeError(w, route, http.StatusTooManyRequests, ErrQueueFull,
-			"admission queue full; retry after the Retry-After hint", id)
+	case errors.As(err, &typed):
+		if typed.Status >= http.StatusInternalServerError {
+			s.logf("hped: %s %s failed: %v", route, id, err)
+		}
+		s.writeTyped(w, route, typed)
 	case r.Context().Err() != nil:
 		// The client went away; nobody reads this, but the metrics do.
 		s.writeError(w, route, statusClientGone, ErrClientGone, "client disconnected", id)
@@ -322,54 +304,6 @@ func (s *Server) serveComputed(w http.ResponseWriter, r *http.Request, route, id
 		s.writeError(w, route, http.StatusInternalServerError, ErrInternal,
 			"computation failed: "+err.Error(), id)
 	}
-}
-
-// trace returns the app's canonical trace, generated once per server
-// lifetime (traces are deterministic and immutable once the lazy footprint
-// is primed). Scaled variants of an app get their own entries.
-func (s *Server) trace(app hpe.App) *hpe.Trace {
-	key := fmt.Sprintf("%s/%d", app.Abbr, app.Sets)
-	s.traceMu.Lock()
-	e, ok := s.traces[key]
-	if !ok {
-		e = &traceEntry{}
-		s.traces[key] = e
-	}
-	s.traceMu.Unlock()
-	e.once.Do(func() {
-		tr := app.Generate()
-		tr.Footprint()
-		e.tr = tr
-	})
-	return e.tr
-}
-
-// simulateRun executes one canonicalized run spec under ctx and renders its
-// response body. The spec → (config, trace, policy) materialization lives in
-// runspec; the server only contributes its long-lived trace cache and its
-// metrics probe. Cancelled (partial) results are reported as errors and never
-// rendered or cached.
-func (s *Server) simulateRun(ctx context.Context, sp hpe.RunSpec, id string) ([]byte, error) {
-	m := hpe.NewMetricsProbe()
-	res, err := hpe.Run(sp,
-		hpe.WithContext(ctx),
-		hpe.WithProbe(m),
-		hpe.WithRunEnv(hpe.RunEnv{Trace: s.trace}))
-	if err != nil {
-		return nil, err
-	}
-	s.met.mergeProbe(res.Probe)
-	if res.Cancelled {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		return nil, context.Canceled
-	}
-	body, err := json.Marshal(RunResponse{ID: id, Request: sp, Result: res})
-	if err != nil {
-		return nil, fmt.Errorf("render result: %w", err)
-	}
-	return append(body, '\n'), nil
 }
 
 // --- run status ----------------------------------------------------------
@@ -386,8 +320,15 @@ func (s *Server) handleGetRun(w http.ResponseWriter, r *http.Request) {
 		s.writeBody(w, route, http.StatusAccepted, "", append(body, '\n'))
 		return
 	}
+	if status, body, source := s.comp.Fetch(r.Context(), id); status != 0 {
+		if status == http.StatusOK {
+			s.cache.Put(id, body, "")
+		}
+		s.writeBody(w, route, status, source, body)
+		return
+	}
 	s.writeError(w, route, http.StatusNotFound, ErrNotFound,
-		"unknown run id (results live in an LRU cache; re-POST the request to recompute)", id)
+		"unknown run id (results live in LRU caches; re-POST the request to recompute)", id)
 }
 
 // --- suite sweeps --------------------------------------------------------
@@ -443,32 +384,12 @@ func (s *Server) handleSuite(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, route, http.StatusBadRequest, ErrBadSpec, err.Error(), "")
 		return
 	}
-	workers := req.Workers
-	if workers <= 0 || workers > s.cfg.SuiteWorkers {
-		workers = s.cfg.SuiteWorkers
-	}
+	hint := req.Workers
 	req.Workers = 0 // scheduling hint: kept out of the cached body
-	s.recordSummary(id, runSummary{Kind: "suite",
-		Summary: fmt.Sprintf("%d experiments, quick=%t, seed=%d", len(req.IDs), req.Quick, req.Seed)})
-	s.serveComputed(w, r, route, id, true, func(ctx context.Context) ([]byte, error) {
-		return s.sweepSuite(ctx, req, id, workers)
+	summary := fmt.Sprintf("%d experiments, quick=%t, seed=%d", len(req.IDs), req.Quick, req.Seed)
+	s.serveComputed(w, r, route, id, summary, func(ctx context.Context) ([]byte, error) {
+		return s.comp.Suite(ctx, req, id, hint)
 	})
-}
-
-// sweepSuite runs a whole-matrix sweep through the experiment harness,
-// sharded across the PR-1 worker pool under the request's context.
-func (s *Server) sweepSuite(ctx context.Context, req SuiteRequest, id string, workers int) ([]byte, error) {
-	suite := hpe.NewSuite(hpe.SuiteOptions{
-		Quick:   req.Quick,
-		Seed:    req.Seed,
-		Workers: workers,
-		Context: ctx,
-	})
-	reports, err := suite.Reports(req.IDs)
-	if err != nil {
-		return nil, err
-	}
-	return RenderSuiteBody(id, req, reports)
 }
 
 // clampMetrics rewrites values JSON cannot carry, recording every rewrite.
@@ -510,9 +431,7 @@ type policyJSON struct {
 	NeedsHIR      bool     `json:"needs_hir,omitempty"`
 }
 
-// PoliciesBody renders the /v1/policies catalog body. The coordinator serves
-// the identical bytes (the registry is compiled into both binaries).
-func PoliciesBody() []byte {
+func (s *Server) handlePolicies(w http.ResponseWriter, r *http.Request) {
 	infos := hpe.Policies()
 	out := make([]policyJSON, len(infos))
 	for i, info := range infos {
@@ -521,12 +440,7 @@ func PoliciesBody() []byte {
 			NeedsCapacity: info.NeedsCapacity, NeedsTrace: info.NeedsTrace,
 			NeedsHIR: info.NeedsHIR}
 	}
-	body, _ := json.Marshal(out)
-	return append(body, '\n')
-}
-
-func (s *Server) handlePolicies(w http.ResponseWriter, r *http.Request) {
-	s.writeBody(w, "policies", http.StatusOK, "", PoliciesBody())
+	s.writeCatalog(w, "policies", out)
 }
 
 type appJSON struct {
@@ -539,20 +453,13 @@ type appJSON struct {
 	ComputeGap     int    `json:"compute_gap"`
 }
 
-// ScenariosBody renders the /v1/scenarios catalog body: the named
-// workload-v2 presets, ready to paste into a run spec's phases/tenants
-// fields. Shared with the coordinator (compiled into both binaries).
-func ScenariosBody() []byte {
-	body, _ := json.Marshal(hpe.Scenarios())
-	return append(body, '\n')
-}
-
+// handleScenarios lists the named workload-v2 presets, ready to paste into
+// a run spec's phases/tenants fields.
 func (s *Server) handleScenarios(w http.ResponseWriter, r *http.Request) {
-	s.writeBody(w, "scenarios", http.StatusOK, "", ScenariosBody())
+	s.writeCatalog(w, "scenarios", hpe.Scenarios())
 }
 
-// AppsBody renders the /v1/apps catalog body, shared with the coordinator.
-func AppsBody() []byte {
+func (s *Server) handleApps(w http.ResponseWriter, r *http.Request) {
 	apps := hpe.Workloads()
 	out := make([]appJSON, len(apps))
 	for i, a := range apps {
@@ -560,37 +467,35 @@ func AppsBody() []byte {
 			Pattern: a.Pattern.String(), Pages: a.Pages(),
 			FootprintBytes: a.FootprintBytes(), ComputeGap: a.ComputeGap}
 	}
-	body, _ := json.Marshal(out)
-	return append(body, '\n')
+	s.writeCatalog(w, "apps", out)
 }
 
-func (s *Server) handleApps(w http.ResponseWriter, r *http.Request) {
-	s.writeBody(w, "apps", http.StatusOK, "", AppsBody())
+// writeCatalog renders one catalog listing. The registry and the catalog are
+// compiled into every binary, so a coordinator serves the bytes a backend
+// would.
+func (s *Server) writeCatalog(w http.ResponseWriter, route string, v any) {
+	body, _ := json.Marshal(v)
+	s.writeBody(w, route, http.StatusOK, "", append(body, '\n'))
 }
 
 // --- health and metrics --------------------------------------------------
 
-// HealthBody is the /healthz response: liveness plus the capacity figures
-// the cluster coordinator sizes its per-backend dispatch window and
-// saturation model from.
-type HealthBody struct {
-	Status  string `json:"status"`
-	Workers int    `json:"workers"`
-	Queue   int    `json:"queue"`
-}
-
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
+	const route = "healthz"
 	if s.isDraining() {
-		s.writeError(w, "healthz", http.StatusServiceUnavailable, ErrDraining, "draining", "")
+		s.writeError(w, route, http.StatusServiceUnavailable, ErrDraining, "draining", "")
 		return
 	}
-	body, _ := json.Marshal(HealthBody{Status: "ok", Workers: s.cfg.Workers, Queue: s.cfg.QueueDepth})
-	s.writeBody(w, "healthz", http.StatusOK, "", append(body, '\n'))
+	body, unhealthy := s.comp.Health()
+	if unhealthy != nil {
+		s.writeTyped(w, route, unhealthy)
+		return
+	}
+	s.writeBody(w, route, http.StatusOK, "", body)
 }
 
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	queued, running := s.adm.Depths()
-	s.met.render(w, s.cache.Snapshot(), queued, running, s.adm.Rejected(), s.co.Coalesced())
+	w.Header().Set("Content-Type", promtext.ContentType)
+	s.comp.Metrics(w, s.stats())
 	s.met.observeRequest("metrics", http.StatusOK)
 }

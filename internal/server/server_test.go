@@ -26,6 +26,9 @@ func newTestServer(t *testing.T, cfg Config) (*Server, *httptest.Server) {
 	return srv, ts
 }
 
+// localOf returns the local compute behind a Server built by New.
+func localOf(s *Server) *local { return s.comp.(*local) }
+
 func get(t *testing.T, ts *httptest.Server, path string) (int, []byte) {
 	t.Helper()
 	resp, err := ts.Client().Get(ts.URL + path)
@@ -289,7 +292,7 @@ func TestCancelledRequestStopsSimulation(t *testing.T) {
 	// The leader must classify the run as cancelled, not completed.
 	deadline := time.Now().Add(60 * time.Second)
 	for {
-		_, completed, cancelled, failed := srv.met.runsSnapshot()
+		_, completed, cancelled, failed := localOf(srv).met.runsSnapshot()
 		if cancelled == 1 {
 			break
 		}
@@ -303,9 +306,9 @@ func TestCancelledRequestStopsSimulation(t *testing.T) {
 	}
 
 	// Probe events have ceased: totals are stable once the engine stopped.
-	partial := srv.met.simEventsTotal()
+	partial := localOf(srv).met.simEventsTotal()
 	time.Sleep(200 * time.Millisecond)
-	if after := srv.met.simEventsTotal(); after != partial {
+	if after := localOf(srv).met.simEventsTotal(); after != partial {
 		t.Errorf("probe events still flowing after cancellation: %d -> %d", partial, after)
 	}
 
@@ -320,7 +323,7 @@ func TestCancelledRequestStopsSimulation(t *testing.T) {
 	if code != http.StatusOK {
 		t.Fatalf("re-run after cancel: %d: %s", code, b)
 	}
-	full := srv.met.simEventsTotal() - partial
+	full := localOf(srv).met.simEventsTotal() - partial
 	if full <= partial {
 		t.Errorf("cancelled run merged %d events, full run %d — cancellation did not stop the engine early",
 			partial, full)
@@ -346,7 +349,7 @@ func TestQueueFullRejectsWith429(t *testing.T) {
 	// happens inside the coalescer's computation, just after inflight).
 	deadline := time.Now().Add(30 * time.Second)
 	for {
-		if _, running := srv.adm.Depths(); running == 1 {
+		if _, running := localOf(srv).adm.Depths(); running == 1 {
 			break
 		}
 		if time.Now().After(deadline) {
@@ -369,7 +372,7 @@ func TestQueueFullRejectsWith429(t *testing.T) {
 		t.Errorf("429 envelope = %+v (ok=%t), want code %q", eb, ok, ErrQueueFull)
 	}
 	assertRetryAfter(t, resp.Header)
-	if srv.adm.Rejected() == 0 {
+	if localOf(srv).adm.Rejected() == 0 {
 		t.Errorf("rejection not counted")
 	}
 	<-done
