@@ -46,9 +46,10 @@ lint-bench:
 spec-goldens:
 	$(GO) test -run SpecGoldens -count=1 ./internal/runspec/
 
-# The experiment suite's shared-cache paths under the race detector (~35 s).
+# The experiment suite's shared-cache paths and plan pass under the race
+# detector (~45 s).
 race:
-	$(GO) test -race -run 'Concurrent|Dedup|RunPool' ./internal/experiments/
+	$(GO) test -race -run 'Concurrent|Dedup|RunPool|Plan' ./internal/experiments/
 
 # The probe hot path and the rewritten event engine under the race detector:
 # emission sites, Chrome-trace streaming, probed-vs-unprobed determinism, and

@@ -336,11 +336,11 @@ func (rc ringCompute) Close(st server.FrontStats) string {
 // --- sweeps --------------------------------------------------------------
 
 // sweepSuite runs one sweep with the experiment harness local and every
-// simulation delegated: the suite enumerates the run matrix, each cell's
-// content-addressed spec is consistent-hashed to a backend, and the local
-// harness aggregates the returned results into reports. RenderSuiteBody is
-// the same renderer a backend uses, so the merged body is byte-identical to
-// a single-node sweep.
+// simulation delegated: the suite plans the cells its experiments read, each
+// cell's content-addressed spec is consistent-hashed to a backend, and the
+// local harness aggregates the returned results into reports.
+// RenderSuiteBody is the same renderer a backend uses, so the merged body is
+// byte-identical to a single-node sweep.
 func (c *Coordinator) sweepSuite(ctx context.Context, req server.SuiteRequest, id string) ([]byte, error) {
 	runCtx, cancel := context.WithCancel(ctx)
 	defer cancel()

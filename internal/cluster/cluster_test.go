@@ -13,6 +13,7 @@ import (
 	"testing"
 	"time"
 
+	"hpe"
 	"hpe/internal/server"
 )
 
@@ -239,6 +240,49 @@ func TestClusterSweepByteIdentical(t *testing.T) {
 	code, again, _ := post(t, tc.front.URL, "/v1/suite", quickSuiteBody)
 	if code != http.StatusOK || !bytes.Equal(again, merged) {
 		t.Fatalf("cached re-sweep: status %d, bytes equal %t", code, bytes.Equal(again, merged))
+	}
+}
+
+// TestClusterSuiteDispatchesPlannedCells checks that a coordinator sweep
+// dispatches only the cells its experiments read: temporal's nine variant
+// cells over the quick subset, and none of the 120-cell comparison grid.
+// The merged body still equals the body one node renders from a serial run.
+func TestClusterSuiteDispatchesPlannedCells(t *testing.T) {
+	tc := newTestCluster(t, 2)
+	const body = `{"ids":["temporal"],"quick":true}`
+	code, merged, _ := post(t, tc.front.URL, "/v1/suite", body)
+	if code != http.StatusOK {
+		t.Fatalf("coordinator suite: status %d: %s", code, merged)
+	}
+	var shards uint64
+	tc.coord.met.mu.Lock()
+	for _, n := range tc.coord.met.shards {
+		shards += n
+	}
+	tc.coord.met.mu.Unlock()
+	if shards != 9 {
+		t.Fatalf("coordinator dispatched %d shards for temporal, want its 9 cells", shards)
+	}
+
+	var req server.SuiteRequest
+	if err := json.Unmarshal([]byte(body), &req); err != nil {
+		t.Fatal(err)
+	}
+	id, err := server.NormalizeSuite(&req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	reports, err := hpe.NewSuite(hpe.SuiteOptions{Quick: req.Quick, Seed: req.Seed}).Reports(req.IDs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	golden, err := server.RenderSuiteBody(id, req, reports)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(merged, golden) {
+		t.Fatalf("merged sweep differs from the single-node body:\nmerged %d bytes, single %d bytes",
+			len(merged), len(golden))
 	}
 }
 

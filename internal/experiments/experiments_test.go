@@ -248,32 +248,45 @@ func TestProgressCallback(t *testing.T) {
 	}
 }
 
-func TestPrewarmMatchesSerial(t *testing.T) {
+// TestReportsCacheMatchesSerial checks that the parallel plan pass caches
+// exactly what serial runs compute: fig12 is the whole comparison grid, so
+// after a Workers: 4 Reports every grid cell is cached and equal to its
+// serial counterpart.
+func TestReportsCacheMatchesSerial(t *testing.T) {
 	serial := NewSuite(Options{Quick: true, Seed: 1})
-	warm := NewSuite(Options{Quick: true, Seed: 1})
-	warm.Prewarm(4)
+	warm := NewSuite(Options{Quick: true, Seed: 1, Workers: 4})
+	if _, err := warm.Reports([]string{"fig12"}); err != nil {
+		t.Fatal(err)
+	}
 	app := warm.Apps()[2]
 	for _, pol := range ComparisonPolicies {
 		for _, rate := range Rates {
 			a := serial.Run(app, pol, rate)
 			b := warm.Run(app, pol, rate)
 			if a.Cycles != b.Cycles || a.Faults != b.Faults || a.Evictions != b.Evictions {
-				t.Fatalf("%s@%d: prewarmed result differs: %v vs %v", pol, rate, a, b)
+				t.Fatalf("%s@%d: planned result differs: %v vs %v", pol, rate, a, b)
 			}
 		}
 	}
-	// Every grid cell was cached by the prewarm.
+	// Every grid cell was cached by the plan pass.
 	want := len(warm.Apps()) * len(ComparisonPolicies) * len(Rates)
 	if n := warm.CachedRuns(); n != want {
-		t.Fatalf("prewarm cached %d results, want %d", n, want)
+		t.Fatalf("plan pass cached %d results, want %d", n, want)
 	}
 }
 
-func TestPrewarmNoopForOneWorker(t *testing.T) {
-	s := NewSuite(Options{Quick: true})
-	s.Prewarm(1)
-	if len(s.results) != 0 {
-		t.Fatal("Prewarm(1) ran simulations")
+// TestReportsNoopWithoutCells checks that Reports simulates nothing an
+// experiment does not ask for: table1 reads no cell, so neither the serial
+// path nor the plan pass may run a simulation.
+func TestReportsNoopWithoutCells(t *testing.T) {
+	for _, workers := range []int{1, 4} {
+		s := NewSuite(Options{Quick: true, Workers: workers})
+		if _, err := s.Reports([]string{"table1"}); err != nil {
+			t.Fatal(err)
+		}
+		if len(s.results) != 0 {
+			t.Fatalf("workers=%d: Reports(table1) ran simulations", workers)
+		}
 	}
 }
 
@@ -285,13 +298,13 @@ func TestAllExperimentsQuick(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full experiment pass skipped in -short mode")
 	}
-	s := NewSuite(Options{Quick: true, Seed: 1})
-	s.Prewarm(4)
-	for _, id := range IDs() {
-		rep, ok := s.ByID(id)
-		if !ok {
-			t.Fatalf("experiment %q not dispatchable", id)
-		}
+	s := NewSuite(Options{Quick: true, Seed: 1, Workers: 4})
+	reps, err := s.Reports(IDs())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, id := range IDs() {
+		rep := reps[i]
 		if rep.ID != id {
 			t.Errorf("%s: report carries id %q", id, rep.ID)
 		}

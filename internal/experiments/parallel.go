@@ -1,19 +1,21 @@
 package experiments
 
-// Concurrent suite runner: a worker-pool scheduler that shards the
-// (app, policy, rate, variant) run matrix across Options.Workers goroutines,
-// plus the singleflight primitive that makes the Suite's memoized caches
-// goroutine-safe. Every simulation is deterministic and keyed, and report
-// aggregation walks the caches in canonical order, so parallel execution is
-// byte-identical to serial execution (TestParallelMatchesSerial is the
-// contract). Workers == 1 bypasses every goroutine and channel — the
-// debugging path.
+// Concurrent suite runner: a plan pass that lists the cells the requested
+// experiments need, a worker-pool scheduler that shards those planned cells
+// across Options.Workers goroutines, plus the singleflight primitive that
+// makes the Suite's memoized caches goroutine-safe. Every simulation is
+// deterministic and keyed, and report aggregation walks the caches in
+// canonical order, so parallel execution is byte-identical to serial
+// execution (TestParallelMatchesSerial is the contract). Workers == 1
+// bypasses the plan pass and every goroutine and channel — the debugging
+// path.
 
 import (
 	"context"
 	"fmt"
 	"sync"
 
+	"hpe/internal/gpu"
 	"hpe/internal/runspec"
 )
 
@@ -167,45 +169,47 @@ feed:
 	return ctx.Err()
 }
 
-// grid enumerates the standard matrix every figure draws from: the Fig. 12
-// comparison policies at both oversubscription rates, over the suite's
-// catalog, in canonical order.
-func (s *Suite) grid() []runspec.Spec {
-	specs := make([]runspec.Spec, 0, len(s.apps)*len(ComparisonPolicies)*len(Rates))
-	for _, app := range s.apps {
-		for _, policy := range ComparisonPolicies {
-			for _, rate := range Rates {
-				specs = append(specs, s.spec(app, policy, rate))
-			}
-		}
+// plan lists the distinct cells the experiments with the given IDs ask for,
+// in request order, without simulating any of them. It runs the experiment
+// functions once on a throwaway Suite (same Quick and Seed, no Progress,
+// Probe or Context) whose Runner records each canonical spec and returns a
+// non-zero placeholder result, so the reports' ratios and geometric means
+// stay defined. The throwaway Suite shares this Suite's trace memo, so an
+// experiment that reads a trace (table2) synthesizes it once for both
+// passes. Experiments choose their cells without looking at results; should
+// one ever pick a cell from a result, the plan misses that cell and RunSpec
+// still computes it on demand — correct, only serial.
+// TestReportsPlanMatchesSerialCells keeps the plan equal to a serial run.
+func (s *Suite) plan(ids []string) []runspec.Spec {
+	var cells []runspec.Spec
+	p := &Suite{
+		opts: Options{Quick: s.opts.Quick, Seed: s.opts.Seed,
+			Runner: func(_ context.Context, sp runspec.Spec, _ string) (gpu.Result, error) {
+				cells = append(cells, sp)
+				return gpu.Result{Cycles: 1, Accesses: 1, IPC: 1, Faults: 1, Evictions: 1}, nil
+			}},
+		apps:    s.apps,
+		memo:    s.memo,
+		results: make(map[string]gpu.Result),
+		runWIP:  make(map[string]*flight[gpu.Result]),
 	}
-	return specs
-}
-
-// Prewarm fills the standard run grid concurrently with the given worker
-// count, so subsequent experiment functions hit the cache. Each simulation
-// is independent and deterministic and lands in the singleflight-guarded
-// cache, so the merged results are identical to a serial run. workers ≤ 1
-// is a no-op (the experiments will compute runs on demand instead).
-func (s *Suite) Prewarm(workers int) {
-	if workers <= 1 {
-		return
+	for _, id := range ids {
+		fn, _ := p.experiment(id)
+		fn()
 	}
-	specs := s.grid()
-	_ = runPool(s.ctx(), workers, len(specs), func(i int) {
-		s.RunSpec(specs[i])
-	})
+	return cells
 }
 
 // Reports runs the experiments with the given IDs and returns their reports
 // in the same order. Unknown IDs fail before anything runs. With
-// Options.Workers > 1 the standard run matrix is sharded across a worker
-// pool first (the bulk of the simulation work), then the experiment
-// functions themselves execute concurrently — their variant runs deduplicate
-// through the singleflight cache, so shared cells are still simulated once.
+// Options.Workers > 1 a plan pass first lists the planned cells of the
+// requested experiments, and those cells are sharded across a worker pool
+// (the bulk of the simulation work); then the experiment functions
+// themselves execute concurrently, every cell they read already cached.
 // Aggregation order is the ids slice, and each report is assembled from
 // cached results in canonical catalog order, so output is byte-identical to
-// Workers == 1. When Options.Context is cancelled mid-run the pool drains
+// Workers == 1, which skips the plan pass and simulates each cell on demand.
+// When Options.Context is cancelled mid-run the pool drains
 // deterministically and Reports returns the context's error with no reports
 // (partial aggregates are never surfaced).
 func (s *Suite) Reports(ids []string) ([]Report, error) {
@@ -218,7 +222,10 @@ func (s *Suite) Reports(ids []string) ([]Report, error) {
 		fns[i] = fn
 	}
 	if w := s.workers(); w > 1 {
-		s.Prewarm(w)
+		cells := s.plan(ids)
+		if err := runPool(s.ctx(), w, len(cells), func(i int) { s.RunSpec(cells[i]) }); err != nil {
+			return nil, err
+		}
 	}
 	out := make([]Report, len(ids))
 	if err := runPool(s.ctx(), s.workers(), len(ids), func(i int) { out[i] = fns[i]() }); err != nil {

@@ -9,8 +9,10 @@ import (
 	"testing"
 	"time"
 
+	"hpe/internal/gpu"
 	"hpe/internal/probe"
 	"hpe/internal/runspec"
+	"hpe/internal/trace"
 )
 
 // --- singleflight primitive ---------------------------------------------------
@@ -375,6 +377,93 @@ func deterministicIDs() []string {
 		}
 	}
 	return out
+}
+
+// TestReportsPlanMatchesSerialCells guards the plan pass. For every
+// experiment, the cells plan lists must be exactly the cells a serial run
+// hands its Runner, and a parallel Reports must ask its Runner for each
+// planned cell once and for no cell outside the plan. An experiment that
+// picked a cell from a result would fail here: its plan, made on placeholder
+// results, would miss that cell.
+func TestReportsPlanMatchesSerialCells(t *testing.T) {
+	if testing.Short() {
+		t.Skip("a full quick-suite pass skipped in -short mode")
+	}
+	// One backing suite simulates each cell once for every run below.
+	backend := NewSuite(Options{Quick: true, Seed: 1})
+	recorder := func(workers int, calls map[string]int) *Suite {
+		var mu sync.Mutex
+		return NewSuite(Options{Quick: true, Seed: 1, Workers: workers,
+			Runner: func(_ context.Context, sp runspec.Spec, id string) (gpu.Result, error) {
+				mu.Lock()
+				calls[id]++
+				mu.Unlock()
+				return backend.RunSpec(sp), nil
+			}})
+	}
+	for _, id := range IDs() {
+		planned := map[string]bool{}
+		for _, sp := range NewSuite(Options{Quick: true, Seed: 1}).plan([]string{id}) {
+			planned[sp.ID()] = true
+		}
+		// The parallel run goes first so that the backing suite simulates
+		// on all workers; the serial run then reads its cache.
+		par, serial := map[string]int{}, map[string]int{}
+		for _, run := range []struct {
+			workers int
+			calls   map[string]int
+		}{{4, par}, {1, serial}} {
+			if _, err := recorder(run.workers, run.calls).Reports([]string{id}); err != nil {
+				t.Fatalf("%s: workers=%d: %v", id, run.workers, err)
+			}
+		}
+		if len(serial) != len(planned) {
+			t.Errorf("%s: plan lists %d cells, a serial run asks for %d", id, len(planned), len(serial))
+		}
+		for cid := range serial {
+			if !planned[cid] {
+				t.Errorf("%s: serial run asks for cell %s, which the plan misses", id, cid)
+			}
+		}
+		if len(par) != len(planned) {
+			t.Errorf("%s: parallel run asked for %d cells, plan lists %d", id, len(par), len(planned))
+		}
+		for cid, n := range par {
+			if n != 1 || !planned[cid] {
+				t.Errorf("%s: parallel run asked for cell %s %d times (planned: %t)", id, cid, n, planned[cid])
+			}
+		}
+		if id == "fig9" && len(par) != len(backend.Apps()) {
+			t.Errorf("fig9: parallel run asked for %d cells, want one per app (%d)", len(par), len(backend.Apps()))
+		}
+	}
+}
+
+// TestPlanSharesTraceMemo checks that the plan pass reads traces through its
+// parent's memo: planning table2, which reads every app's trace, leaves each
+// trace in the parent, and the parallel report pass that follows reuses
+// those instances instead of synthesizing them again.
+func TestPlanSharesTraceMemo(t *testing.T) {
+	s := NewSuite(Options{Quick: true, Seed: 1, Workers: 4})
+	s.plan([]string{"table2"})
+	s.memo.mu.Lock()
+	n := len(s.memo.traces)
+	s.memo.mu.Unlock()
+	if n != len(s.Apps()) {
+		t.Fatalf("planning table2 left %d traces in the parent's memo, want %d", n, len(s.Apps()))
+	}
+	planned := make([]*trace.Trace, len(s.Apps()))
+	for i, app := range s.Apps() {
+		planned[i] = s.Trace(app)
+	}
+	if _, err := s.Reports([]string{"table2", "fig9"}); err != nil {
+		t.Fatal(err)
+	}
+	for i, app := range s.Apps() {
+		if s.Trace(app) != planned[i] {
+			t.Errorf("%s: the report pass synthesized its trace again", app.Abbr)
+		}
+	}
 }
 
 // TestParallelMatchesSerial is the determinism contract of the concurrent

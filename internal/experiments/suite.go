@@ -19,17 +19,18 @@
 //
 // A Suite is safe for concurrent use by multiple goroutines. Every memoized
 // cache (traces, Belady future indexes, simulation results) sits behind a
-// single mutex with singleflight deduplication: when two goroutines ask for
+// mutex with singleflight deduplication: when two goroutines ask for
 // the same run, one computes it while the other blocks and receives the same
 // value, so each spec is simulated exactly once per Suite regardless of
 // interleaving. Cached values are immutable once published — traces have
 // their lazy footprint primed before they are shared — so readers never
-// observe partial state. Options.Workers sets the parallelism of Prewarm and
-// Reports; because every simulation is deterministic and aggregation walks
-// the caches in canonical (catalog × paper) order, a parallel run renders
-// byte-identical reports to a serial one. The Progress callback is
-// serialized: it is never invoked concurrently, though line order under
-// Workers > 1 follows completion order, not canonical order.
+// observe partial state. Options.Workers sets how many goroutines Reports
+// spreads the planned cells of the requested experiments across; because
+// every simulation is deterministic and aggregation walks the caches in
+// canonical (catalog × paper) order, a parallel run renders byte-identical
+// reports to a serial one. The Progress callback is serialized: it is never
+// invoked concurrently, though line order under Workers > 1 follows
+// completion order, not canonical order.
 package experiments
 
 import (
@@ -59,10 +60,11 @@ type Options struct {
 	// Invocations are serialized but, under Workers > 1, arrive in
 	// completion order.
 	Progress func(string)
-	// Workers is the number of goroutines Prewarm and Reports spread the
-	// run matrix across. 0 and 1 both mean fully serial execution (the
-	// debugging path); typical callers pass runtime.GOMAXPROCS(0). Results
-	// are byte-identical either way.
+	// Workers is the number of goroutines Reports spreads the planned
+	// cells of the requested experiments across. 0 and 1 both mean fully
+	// serial execution with no plan pass (the debugging path); typical
+	// callers pass runtime.GOMAXPROCS(0). Results are byte-identical either
+	// way.
 	Workers int
 	// Probe, when non-nil, is invoked once per simulation (each memoized
 	// cell runs exactly once regardless of workers) to build that run's
@@ -105,7 +107,21 @@ type RunInfo struct {
 type Suite struct {
 	opts Options
 	apps []workload.App
+	memo *memo
 
+	// mu guards the result cache and its in-flight singleflight table;
+	// compute functions run with mu released.
+	mu      sync.Mutex
+	results map[string]gpu.Result // keyed by Spec.ID()
+	runWIP  map[string]*flight[gpu.Result]
+
+	progressMu sync.Mutex
+}
+
+// memo caches generated traces and Belady future indexes. A plan pass's
+// throwaway Suite shares its parent's memo, so a trace an experiment reads
+// while it is being planned is synthesized only once.
+type memo struct {
 	// mu guards every map below, including the in-flight singleflight
 	// tables; compute functions run with mu released.
 	mu        sync.Mutex
@@ -113,23 +129,21 @@ type Suite struct {
 	traceWIP  map[string]*flight[*trace.Trace]
 	futures   map[string]*trace.FutureIndex
 	futureWIP map[string]*flight[*trace.FutureIndex]
-	results   map[string]gpu.Result // keyed by Spec.ID()
-	runWIP    map[string]*flight[gpu.Result]
-
-	progressMu sync.Mutex
 }
 
 // NewSuite builds a suite over the full Table II catalog (or the quick
 // subset).
 func NewSuite(opts Options) *Suite {
 	s := &Suite{
-		opts:      opts,
-		traces:    make(map[string]*trace.Trace),
-		traceWIP:  make(map[string]*flight[*trace.Trace]),
-		futures:   make(map[string]*trace.FutureIndex),
-		futureWIP: make(map[string]*flight[*trace.FutureIndex]),
-		results:   make(map[string]gpu.Result),
-		runWIP:    make(map[string]*flight[gpu.Result]),
+		opts: opts,
+		memo: &memo{
+			traces:    make(map[string]*trace.Trace),
+			traceWIP:  make(map[string]*flight[*trace.Trace]),
+			futures:   make(map[string]*trace.FutureIndex),
+			futureWIP: make(map[string]*flight[*trace.FutureIndex]),
+		},
+		results: make(map[string]gpu.Result),
+		runWIP:  make(map[string]*flight[gpu.Result]),
 	}
 	if opts.Quick {
 		for _, abbr := range []string{"HOT", "GEM", "HSD", "STN", "PAT", "KMN", "NW", "BFS", "SGM", "B+T"} {
@@ -162,7 +176,8 @@ func (s *Suite) ctx() context.Context {
 // their own entries.
 func (s *Suite) Trace(app workload.App) *trace.Trace {
 	key := fmt.Sprintf("%s/%d", app.Abbr, app.Sets)
-	tr, _ := dedup(&s.mu, s.traces, s.traceWIP, key, func() (*trace.Trace, bool) {
+	m := s.memo
+	tr, _ := dedup(&m.mu, m.traces, m.traceWIP, key, func() (*trace.Trace, bool) {
 		tr := app.Generate()
 		// Prime the trace's lazily-memoized footprint before publication:
 		// Footprint() writes its cache on first call, which would race when
@@ -175,7 +190,8 @@ func (s *Suite) Trace(app workload.App) *trace.Trace {
 
 func (s *Suite) future(app workload.App) *trace.FutureIndex {
 	key := fmt.Sprintf("%s/%d", app.Abbr, app.Sets)
-	fi, _ := dedup(&s.mu, s.futures, s.futureWIP, key, func() (*trace.FutureIndex, bool) {
+	m := s.memo
+	fi, _ := dedup(&m.mu, m.futures, m.futureWIP, key, func() (*trace.FutureIndex, bool) {
 		return trace.BuildFutureIndex(s.Trace(app)), true
 	})
 	return fi

@@ -122,8 +122,9 @@ func (l *local) Run(ctx context.Context, sp runspec.Spec, id string) ([]byte, er
 	})
 }
 
-// Suite runs a whole-matrix sweep through the experiment harness in-process,
-// its worker pool capped by the hint and by the server's workers.
+// Suite runs the requested experiments through the experiment harness
+// in-process, simulating their planned cells on a worker pool capped by the
+// hint and by the server's workers.
 func (l *local) Suite(ctx context.Context, req SuiteRequest, id string, hint int) ([]byte, error) {
 	workers := hint
 	if workers <= 0 || workers > l.workers {

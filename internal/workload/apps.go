@@ -99,92 +99,95 @@ func (a App) GenerateWithGeometry(g addrspace.Geometry) *trace.Trace {
 	return b.Build(a.Abbr)
 }
 
-// Catalog returns the 23 applications of Table II, in suite/pattern order.
-// Footprints are scaled versions of the paper's 3–130 MB range (long
-// simulation times forced the authors to cap footprints too); KMN keeps the
-// largest footprint, as the paper notes when costing classification.
-func Catalog() []App {
-	return []App{
-		// ---- Type I: streaming --------------------------------------------
-		{Name: "hotspot", Abbr: "HOT", Suite: "Rodinia", Pattern: PatternStreaming, Sets: 128, ComputeGap: 4,
-			gen: func(b *Builder, sets int) { Streaming(b, sets, 2) }},
-		{Name: "leukocyte", Abbr: "LEU", Suite: "Rodinia", Pattern: PatternStreaming, Sets: 96, ComputeGap: 10,
-			gen: func(b *Builder, sets int) { Streaming(b, sets, 3) }},
-		{Name: "cutcp", Abbr: "CUT", Suite: "Parboil", Pattern: PatternStreaming, Sets: 80, ComputeGap: 6,
-			gen: func(b *Builder, sets int) { Streaming(b, sets, 2) }},
-		{Name: "2DCONV", Abbr: "2DC", Suite: "Polybench", Pattern: PatternStreaming, Sets: 160, ComputeGap: 2,
-			gen: func(b *Builder, sets int) { Streaming(b, sets, 2) }},
-		// GEM streams matrix A / writes C while cyclically re-sweeping matrix
-		// B; B's reuse distance sits near the 75% memory boundary, which is
-		// why Fig. 3 shows LRU performing poorly on GEM alone among Type I.
-		{Name: "GEMM", Abbr: "GEM", Suite: "Polybench", Pattern: PatternStreaming, Sets: 112, ComputeGap: 3,
-			gen: genGEMM},
+// catalog holds the 23 applications of Table II, in suite/pattern order,
+// built once for every lookup. Footprints are scaled versions of the
+// paper's 3–130 MB range (long simulation times forced the authors to cap
+// footprints too); KMN keeps the largest footprint, as the paper notes when
+// costing classification.
+var catalog = []App{
+	// ---- Type I: streaming --------------------------------------------
+	{Name: "hotspot", Abbr: "HOT", Suite: "Rodinia", Pattern: PatternStreaming, Sets: 128, ComputeGap: 4,
+		gen: func(b *Builder, sets int) { Streaming(b, sets, 2) }},
+	{Name: "leukocyte", Abbr: "LEU", Suite: "Rodinia", Pattern: PatternStreaming, Sets: 96, ComputeGap: 10,
+		gen: func(b *Builder, sets int) { Streaming(b, sets, 3) }},
+	{Name: "cutcp", Abbr: "CUT", Suite: "Parboil", Pattern: PatternStreaming, Sets: 80, ComputeGap: 6,
+		gen: func(b *Builder, sets int) { Streaming(b, sets, 2) }},
+	{Name: "2DCONV", Abbr: "2DC", Suite: "Polybench", Pattern: PatternStreaming, Sets: 160, ComputeGap: 2,
+		gen: func(b *Builder, sets int) { Streaming(b, sets, 2) }},
+	// GEM streams matrix A / writes C while cyclically re-sweeping matrix
+	// B; B's reuse distance sits near the 75% memory boundary, which is
+	// why Fig. 3 shows LRU performing poorly on GEM alone among Type I.
+	{Name: "GEMM", Abbr: "GEM", Suite: "Polybench", Pattern: PatternStreaming, Sets: 112, ComputeGap: 3,
+		gen: genGEMM},
 
-		// ---- Type II: thrashing -------------------------------------------
-		// SRD is a stencil: each sweep re-touches the previous set (halo
-		// rows), giving first-fill counters of 2× set size (still small and
-		// regular).
-		{Name: "srad_v2", Abbr: "SRD", Suite: "Rodinia", Pattern: PatternThrashing, Sets: 128, ComputeGap: 3,
-			gen: genSRAD},
-		{Name: "hotspot3D", Abbr: "HSD", Suite: "Rodinia", Pattern: PatternThrashing, Sets: 144, ComputeGap: 2,
-			gen: func(b *Builder, sets int) { Thrashing(b, sets, 6, 2) }},
-		{Name: "mri-q", Abbr: "MRQ", Suite: "Parboil", Pattern: PatternThrashing, Sets: 96, ComputeGap: 8,
-			gen: func(b *Builder, sets int) { Thrashing(b, sets, 4, 3) }},
-		{Name: "stencil", Abbr: "STN", Suite: "Parboil", Pattern: PatternThrashing, Sets: 64, ComputeGap: 3,
-			gen: func(b *Builder, sets int) { Thrashing(b, sets, 5, 2) }},
+	// ---- Type II: thrashing -------------------------------------------
+	// SRD is a stencil: each sweep re-touches the previous set (halo
+	// rows), giving first-fill counters of 2× set size (still small and
+	// regular).
+	{Name: "srad_v2", Abbr: "SRD", Suite: "Rodinia", Pattern: PatternThrashing, Sets: 128, ComputeGap: 3,
+		gen: genSRAD},
+	{Name: "hotspot3D", Abbr: "HSD", Suite: "Rodinia", Pattern: PatternThrashing, Sets: 144, ComputeGap: 2,
+		gen: func(b *Builder, sets int) { Thrashing(b, sets, 6, 2) }},
+	{Name: "mri-q", Abbr: "MRQ", Suite: "Parboil", Pattern: PatternThrashing, Sets: 96, ComputeGap: 8,
+		gen: func(b *Builder, sets int) { Thrashing(b, sets, 4, 3) }},
+	{Name: "stencil", Abbr: "STN", Suite: "Parboil", Pattern: PatternThrashing, Sets: 64, ComputeGap: 3,
+		gen: func(b *Builder, sets int) { Thrashing(b, sets, 5, 2) }},
 
-		// ---- Type III: part repetitive ------------------------------------
-		{Name: "pathfinder", Abbr: "PAT", Suite: "Rodinia", Pattern: PatternPartRepetitive, Sets: 112, ComputeGap: 3,
-			gen: func(b *Builder, sets int) { PartRepetitive(b, sets, 0.25, 40, 2) }},
-		{Name: "dwt2d", Abbr: "DWT", Suite: "Rodinia", Pattern: PatternPartRepetitive, Sets: 96, ComputeGap: 4,
-			gen: func(b *Builder, sets int) { PartRepetitive(b, sets, 0.35, 36, 2) }},
-		{Name: "backprop", Abbr: "BKP", Suite: "Rodinia", Pattern: PatternPartRepetitive, Sets: 128, ComputeGap: 3,
-			gen: func(b *Builder, sets int) { PartRepetitive(b, sets, 0.30, 48, 2) }},
-		// KMN and SAD revisit partial sets: irregular counters, the two
-		// ratio₁ outliers of Fig. 9, classified irregular#2.
-		{Name: "kmeans", Abbr: "KMN", Suite: "Rodinia", Pattern: PatternPartRepetitive, Sets: 512, ComputeGap: 2,
-			gen: func(b *Builder, sets int) { PartRepetitiveIrregular(b, sets, 0.5, 96, 1) }},
-		{Name: "sad", Abbr: "SAD", Suite: "Parboil", Pattern: PatternPartRepetitive, Sets: 160, ComputeGap: 2,
-			gen: func(b *Builder, sets int) { PartRepetitiveIrregular(b, sets, 0.6, 48, 2) }},
+	// ---- Type III: part repetitive ------------------------------------
+	{Name: "pathfinder", Abbr: "PAT", Suite: "Rodinia", Pattern: PatternPartRepetitive, Sets: 112, ComputeGap: 3,
+		gen: func(b *Builder, sets int) { PartRepetitive(b, sets, 0.25, 40, 2) }},
+	{Name: "dwt2d", Abbr: "DWT", Suite: "Rodinia", Pattern: PatternPartRepetitive, Sets: 96, ComputeGap: 4,
+		gen: func(b *Builder, sets int) { PartRepetitive(b, sets, 0.35, 36, 2) }},
+	{Name: "backprop", Abbr: "BKP", Suite: "Rodinia", Pattern: PatternPartRepetitive, Sets: 128, ComputeGap: 3,
+		gen: func(b *Builder, sets int) { PartRepetitive(b, sets, 0.30, 48, 2) }},
+	// KMN and SAD revisit partial sets: irregular counters, the two
+	// ratio₁ outliers of Fig. 9, classified irregular#2.
+	{Name: "kmeans", Abbr: "KMN", Suite: "Rodinia", Pattern: PatternPartRepetitive, Sets: 512, ComputeGap: 2,
+		gen: func(b *Builder, sets int) { PartRepetitiveIrregular(b, sets, 0.5, 96, 1) }},
+	{Name: "sad", Abbr: "SAD", Suite: "Parboil", Pattern: PatternPartRepetitive, Sets: 160, ComputeGap: 2,
+		gen: func(b *Builder, sets int) { PartRepetitiveIrregular(b, sets, 0.6, 48, 2) }},
 
-		// ---- Type IV: most repetitive -------------------------------------
-		// NW touches even pages then odd pages of each set in separate
-		// phases — the motivating case for HPE's page-set division.
-		{Name: "nw", Abbr: "NW", Suite: "Rodinia", Pattern: PatternMostRepetitive, Sets: 278, ComputeGap: 2,
-			gen: genNW},
-		// BFS interleaves frontier expansion with full re-sweeps of the
-		// visited region — the embedded thrashing pattern that makes pure
-		// LRU catastrophic (§IV-E).
-		{Name: "bfs", Abbr: "BFS", Suite: "Rodinia", Pattern: PatternMostRepetitive, Sets: 256, ComputeGap: 1,
-			gen: func(b *Builder, sets int) { FrontierWithThrash(b, sets, 96, 10, 3, 1) }},
-		// MVT touches pages with an address stride of 4, wasting HIR entry
-		// space (only 4 of 16 counters used per entry).
-		{Name: "MVT", Abbr: "MVT", Suite: "Polybench", Pattern: PatternMostRepetitive, Sets: 256, ComputeGap: 2,
-			gen: func(b *Builder, sets int) { StridedRepetitive(b, sets, 4, 4, 2) }},
+	// ---- Type IV: most repetitive -------------------------------------
+	// NW touches even pages then odd pages of each set in separate
+	// phases — the motivating case for HPE's page-set division.
+	{Name: "nw", Abbr: "NW", Suite: "Rodinia", Pattern: PatternMostRepetitive, Sets: 278, ComputeGap: 2,
+		gen: genNW},
+	// BFS interleaves frontier expansion with full re-sweeps of the
+	// visited region — the embedded thrashing pattern that makes pure
+	// LRU catastrophic (§IV-E).
+	{Name: "bfs", Abbr: "BFS", Suite: "Rodinia", Pattern: PatternMostRepetitive, Sets: 256, ComputeGap: 1,
+		gen: func(b *Builder, sets int) { FrontierWithThrash(b, sets, 96, 10, 3, 1) }},
+	// MVT touches pages with an address stride of 4, wasting HIR entry
+	// space (only 4 of 16 counters used per entry).
+	{Name: "MVT", Abbr: "MVT", Suite: "Polybench", Pattern: PatternMostRepetitive, Sets: 256, ComputeGap: 2,
+		gen: func(b *Builder, sets int) { StridedRepetitive(b, sets, 4, 4, 2) }},
 
-		// ---- Type V: repetitive-thrashing ---------------------------------
-		{Name: "heartwall", Abbr: "HWL", Suite: "Rodinia", Pattern: PatternRepetitiveThrashing, Sets: 96, ComputeGap: 5,
-			gen: func(b *Builder, sets int) {
-				RepetitiveThrashing(b, sets, 3, func(s int) int { return 1 + s%3 }, 2)
-			}},
-		// SGM has uniform per-set visit counts (small ratio₁) and a partly
-		// Type-II-like sweep — the Fig. 9 outlier classified regular.
-		{Name: "sgemm", Abbr: "SGM", Suite: "Parboil", Pattern: PatternRepetitiveThrashing, Sets: 80, ComputeGap: 4,
-			gen: func(b *Builder, sets int) {
-				RepetitiveThrashing(b, sets, 3, func(s int) int { return 1 }, 2)
-			}},
-		{Name: "histo", Abbr: "HIS", Suite: "Parboil", Pattern: PatternRepetitiveThrashing, Sets: 192, ComputeGap: 2,
-			gen: func(b *Builder, sets int) { RepetitiveThrashingIrregular(b, sets, 2, 96, 1) }},
-		{Name: "spmv", Abbr: "SPV", Suite: "Parboil", Pattern: PatternRepetitiveThrashing, Sets: 160, ComputeGap: 2,
-			gen: func(b *Builder, sets int) { RepetitiveThrashingIrregular(b, sets, 2, 96, 1) }},
+	// ---- Type V: repetitive-thrashing ---------------------------------
+	{Name: "heartwall", Abbr: "HWL", Suite: "Rodinia", Pattern: PatternRepetitiveThrashing, Sets: 96, ComputeGap: 5,
+		gen: func(b *Builder, sets int) {
+			RepetitiveThrashing(b, sets, 3, func(s int) int { return 1 + s%3 }, 2)
+		}},
+	// SGM has uniform per-set visit counts (small ratio₁) and a partly
+	// Type-II-like sweep — the Fig. 9 outlier classified regular.
+	{Name: "sgemm", Abbr: "SGM", Suite: "Parboil", Pattern: PatternRepetitiveThrashing, Sets: 80, ComputeGap: 4,
+		gen: func(b *Builder, sets int) {
+			RepetitiveThrashing(b, sets, 3, func(s int) int { return 1 }, 2)
+		}},
+	{Name: "histo", Abbr: "HIS", Suite: "Parboil", Pattern: PatternRepetitiveThrashing, Sets: 192, ComputeGap: 2,
+		gen: func(b *Builder, sets int) { RepetitiveThrashingIrregular(b, sets, 2, 96, 1) }},
+	{Name: "spmv", Abbr: "SPV", Suite: "Parboil", Pattern: PatternRepetitiveThrashing, Sets: 160, ComputeGap: 2,
+		gen: func(b *Builder, sets int) { RepetitiveThrashingIrregular(b, sets, 2, 96, 1) }},
 
-		// ---- Type VI: region moving ---------------------------------------
-		{Name: "b+tree", Abbr: "B+T", Suite: "Rodinia", Pattern: PatternRegionMoving, Sets: 132, ComputeGap: 3,
-			gen: func(b *Builder, sets int) { RegionMovingHot(b, sets, 24, 3, 4, 1) }},
-		{Name: "hybridsort", Abbr: "HYB", Suite: "Rodinia", Pattern: PatternRegionMoving, Sets: 144, ComputeGap: 2,
-			gen: func(b *Builder, sets int) { RegionMovingHot(b, sets, 24, 3, 4, 2) }},
-	}
+	// ---- Type VI: region moving ---------------------------------------
+	{Name: "b+tree", Abbr: "B+T", Suite: "Rodinia", Pattern: PatternRegionMoving, Sets: 132, ComputeGap: 3,
+		gen: func(b *Builder, sets int) { RegionMovingHot(b, sets, 24, 3, 4, 1) }},
+	{Name: "hybridsort", Abbr: "HYB", Suite: "Rodinia", Pattern: PatternRegionMoving, Sets: 144, ComputeGap: 2,
+		gen: func(b *Builder, sets int) { RegionMovingHot(b, sets, 24, 3, 4, 2) }},
 }
+
+// Catalog returns the 23 applications of Table II, in suite/pattern order.
+// The slice is a fresh copy: mutating it changes no later lookup.
+func Catalog() []App { return append([]App(nil), catalog...) }
 
 // genGEMM builds GEM: 8 row-blocks; each block streams a slice of A and then
 // sweeps all of B. B is 80 of the 112 sets, so its cyclic reuse distance
@@ -257,7 +260,7 @@ func genNW(b *Builder, sets int) {
 
 // ByAbbr returns the catalog application with the given abbreviation.
 func ByAbbr(abbr string) (App, bool) {
-	for _, a := range Catalog() {
+	for _, a := range catalog {
 		if a.Abbr == abbr {
 			return a, true
 		}
@@ -269,7 +272,7 @@ func ByAbbr(abbr string) (App, bool) {
 // preserving catalog order.
 func ByPattern(p PatternType) []App {
 	var out []App
-	for _, a := range Catalog() {
+	for _, a := range catalog {
 		if a.Pattern == p {
 			out = append(out, a)
 		}
@@ -279,8 +282,8 @@ func ByPattern(p PatternType) []App {
 
 // Abbrs returns all catalog abbreviations in catalog order.
 func Abbrs() []string {
-	var out []string
-	for _, a := range Catalog() {
+	out := make([]string, 0, len(catalog))
+	for _, a := range catalog {
 		out = append(out, a.Abbr)
 	}
 	return out
@@ -289,7 +292,7 @@ func Abbrs() []string {
 // PatternTypes returns the pattern types present in the catalog, ascending.
 func PatternTypes() []PatternType {
 	seen := map[PatternType]bool{}
-	for _, a := range Catalog() {
+	for _, a := range catalog {
 		seen[a.Pattern] = true
 	}
 	var out []PatternType

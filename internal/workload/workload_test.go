@@ -59,6 +59,34 @@ func TestByAbbr(t *testing.T) {
 	}
 }
 
+// TestCatalogCopyIsolated checks that the lookups read a catalog no caller
+// can reach: a Catalog() result mutated in place changes no later ByAbbr,
+// ByPattern, Abbrs or Catalog().
+func TestCatalogCopyIsolated(t *testing.T) {
+	cat := Catalog()
+	for i := range cat {
+		if cat[i].Abbr == "HSD" {
+			cat[i].Name, cat[i].Sets, cat[i].Pattern = "mutated", 1, PatternStreaming
+		}
+	}
+	cat[0].Abbr = "XXX"
+	a, ok := ByAbbr("HSD")
+	if !ok || a.Name != "hotspot3D" || a.Sets != 144 || a.Pattern != PatternThrashing {
+		t.Fatalf("ByAbbr(HSD) after mutating a Catalog() copy = %+v, %v", a, ok)
+	}
+	if _, ok := ByAbbr("XXX"); ok {
+		t.Fatal("ByAbbr found an abbreviation written into a Catalog() copy")
+	}
+	if !reflect.DeepEqual(Abbrs()[:1], []string{"HOT"}) || Catalog()[0].Abbr != "HOT" {
+		t.Fatal("a Catalog() copy's mutation reached the catalog")
+	}
+	for _, s := range ByPattern(PatternStreaming) {
+		if s.Abbr == "HSD" {
+			t.Fatal("ByPattern sees a pattern written into a Catalog() copy")
+		}
+	}
+}
+
 func TestAbbrsAndPatternTypes(t *testing.T) {
 	if len(Abbrs()) != 23 {
 		t.Fatalf("Abbrs() len = %d", len(Abbrs()))
