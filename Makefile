@@ -81,10 +81,11 @@ workload-check:
 
 # Fuzz targets, seed corpus only (the -fuzz loop is interactive; run
 # `go test -fuzz=FuzzEngineEquivalence ./internal/sim/`,
-# `go test -fuzz=FuzzCatalogGenerate ./internal/workload/`, or
-# `go test -fuzz=FuzzPhaseSchedule ./internal/workload/` to explore).
+# `go test -fuzz=FuzzCatalogGenerate ./internal/workload/`,
+# `go test -fuzz=FuzzPhaseSchedule ./internal/workload/`, or
+# `go test -fuzz=FuzzPageTable ./internal/addrspace/` to explore).
 fuzz-seed:
-	$(GO) test -run 'Fuzz' ./internal/workload/ ./internal/sim/ ./internal/trace/
+	$(GO) test -run 'Fuzz' ./internal/workload/ ./internal/sim/ ./internal/trace/ ./internal/addrspace/
 
 # One benchmark per paper table/figure plus the ablations.
 bench:

@@ -6,6 +6,7 @@ import (
 	"hpe/internal/addrspace"
 	"hpe/internal/policy"
 	"hpe/internal/trace"
+	"hpe/internal/workload"
 )
 
 // TestPrepopulatedRunAllocBound pins the hotalloc guarantee over the whole
@@ -38,5 +39,23 @@ func TestPrepopulatedRunAllocBound(t *testing.T) {
 	if perAccess > 0.5 {
 		t.Errorf("prepopulated run allocated %.0f objects (%.3f per access), want < 0.5 per access",
 			total, perAccess)
+	}
+
+	// A full catalog trace under the Table I configuration: its per-page
+	// tables are reserved over the trace span, so the run allocates only
+	// construction, the prepopulated footprint's LRU nodes and pooled
+	// slices. 2844 is what this run allocated when the per-page indexes
+	// were Go maps; the dense tables must never cost more.
+	app, _ := workload.ByAbbr("HSD")
+	hsd := app.Generate()
+	catCfg := DefaultConfig(hsd.Footprint())
+	catCfg.Prepopulate = true
+	catalog := testing.AllocsPerRun(1, func() {
+		if res := Run(catCfg, hsd, policy.NewLRU()); res.Faults != 0 {
+			t.Fatalf("prepopulated HSD run took %d faults, want 0", res.Faults)
+		}
+	})
+	if catalog > 2844 {
+		t.Errorf("prepopulated HSD run allocated %.0f objects, want <= 2844", catalog)
 	}
 }

@@ -266,7 +266,7 @@ type Simulator struct {
 	hComplete sim.HandlerID
 
 	cursor       int
-	walkWaiters  map[addrspace.PageID][]continuation
+	walkWaiters  addrspace.Table[addrspace.PageID, []continuation]
 	contPool     [][]continuation // recycled waiter slices (capacity retained)
 	completed    uint64
 	instructions uint64
@@ -340,13 +340,12 @@ func New(cfg Config, tr *trace.Trace, pol policy.Policy, opts ...Option) *Simula
 		panic("gpu: MemoryPages must be positive")
 	}
 	s := &Simulator{
-		cfg:         cfg,
-		tr:          tr,
-		pol:         pol,
-		engine:      sim.NewEngine(),
-		memory:      mem.NewDeviceMemory(cfg.MemoryPages),
-		l2:          tlb.New("L2", cfg.L2TLBEntries, cfg.L2TLBWays),
-		walkWaiters: make(map[addrspace.PageID][]continuation),
+		cfg:    cfg,
+		tr:     tr,
+		pol:    pol,
+		engine: sim.NewEngine(),
+		memory: mem.NewDeviceMemory(cfg.MemoryPages),
+		l2:     tlb.New("L2", cfg.L2TLBEntries, cfg.L2TLBWays),
 	}
 	if cfg.UseHIR {
 		s.hirC = hir.New(cfg.HIR)
@@ -362,6 +361,11 @@ func New(cfg Config, tr *trace.Trace, pol policy.Policy, opts ...Option) *Simula
 	s.hWalk = s.engine.Register((*walkDoneEvent)(s))
 	s.hComplete = s.engine.Register((*completeEvent)(s))
 	s.driver = uvm.New(cfg.Driver, s.engine, s.memory, pol, s.hirC, s.invalidate)
+	// Size the per-page tables for the trace's span up front, so the event
+	// loop never grows them.
+	lo, hi := tr.Span()
+	s.walkWaiters.Reserve(lo, hi)
+	s.driver.Reserve(lo, hi)
 	if len(tr.Segments) > 0 {
 		// A segment-annotated trace (phase schedule or colocation) overrides
 		// the uniform compute gap per segment.
@@ -476,9 +480,9 @@ func (s *Simulator) issue(sm *smState, seq int) {
 	}
 	// Page walk, with MSHR-style merging of concurrent walks.
 	cont := continuation{smID: sm.id, seq: seq}
-	if ws, ok := s.walkWaiters[page]; ok {
+	if ws, ok := s.walkWaiters.Get(page); ok {
 		//lint:ignore hpelint/hotalloc waiter slices recycle through contPool, so growth amortizes across walks
-		s.walkWaiters[page] = append(ws, cont)
+		s.walkWaiters.Put(page, append(ws, cont))
 		s.walkMerges++
 		if s.probe != nil {
 			s.probe.Emit(probe.WalkMerge(s.engine.Now(), sm.id, page, seq))
@@ -491,7 +495,7 @@ func (s *Simulator) issue(sm *smState, seq int) {
 		s.contPool = s.contPool[:n-1]
 	}
 	//lint:ignore hpelint/hotalloc waiter slices recycle through contPool, so growth amortizes across walks
-	s.walkWaiters[page] = append(ws, cont)
+	s.walkWaiters.Put(page, append(ws, cont))
 	s.walks++
 	var delay sim.Cycle
 	if s.pwalk != nil {
@@ -504,8 +508,8 @@ func (s *Simulator) issue(sm *smState, seq int) {
 
 // finishWalk resolves a completed page-table walk.
 func (s *Simulator) finishWalk(page addrspace.PageID) {
-	conts := s.walkWaiters[page]
-	delete(s.walkWaiters, page)
+	conts, _ := s.walkWaiters.Get(page)
+	s.walkWaiters.Delete(page)
 	if s.memory.Resident(page) {
 		s.walkHits++
 		if s.probe != nil {

@@ -14,28 +14,25 @@ type evictionFIFO struct {
 	buf     []addrspace.PageID
 	next    int
 	full    bool
-	members map[addrspace.PageID]int // page → occurrences in buf
+	members addrspace.Table[addrspace.PageID, int] // page → occurrences in buf
 }
 
 func newEvictionFIFO(depth int) *evictionFIFO {
-	return &evictionFIFO{
-		depth:   depth,
-		buf:     make([]addrspace.PageID, depth),
-		members: make(map[addrspace.PageID]int),
-	}
+	return &evictionFIFO{depth: depth, buf: make([]addrspace.PageID, depth)}
 }
 
 func (f *evictionFIFO) push(p addrspace.PageID) {
 	if f.full {
 		old := f.buf[f.next]
-		if n := f.members[old]; n <= 1 {
-			delete(f.members, old)
+		if n, _ := f.members.Get(old); n <= 1 {
+			f.members.Delete(old)
 		} else {
-			f.members[old] = n - 1
+			f.members.Put(old, n-1)
 		}
 	}
 	f.buf[f.next] = p
-	f.members[p]++
+	n, _ := f.members.Get(p)
+	f.members.Put(p, n+1)
 	f.next++
 	if f.next == f.depth {
 		f.next = 0
@@ -43,7 +40,7 @@ func (f *evictionFIFO) push(p addrspace.PageID) {
 	}
 }
 
-func (f *evictionFIFO) contains(p addrspace.PageID) bool { return f.members[p] > 0 }
+func (f *evictionFIFO) contains(p addrspace.PageID) bool { return f.members.Has(p) }
 
 func (f *evictionFIFO) len() int {
 	if f.full {

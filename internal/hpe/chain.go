@@ -42,8 +42,8 @@ type entryKey struct {
 	secondary bool
 }
 
-// packed interns the key into one word (set<<1 | secondary) so the chain
-// index uses the runtime's uint64 fast path instead of hashing a struct.
+// packed interns the key into one word (set<<1 | secondary), the chain
+// index's key: a set's primary and secondary entries sit side by side.
 func (k entryKey) packed() uint64 {
 	v := uint64(k.set) << 1
 	if k.secondary {
@@ -87,20 +87,16 @@ type setChain struct {
 	geometry    addrspace.Geometry
 	counterCap  int
 	head, tail  *chainEntry
-	index       map[uint64]*chainEntry // packed entryKey → entry
+	index       addrspace.Table[uint64, *chainEntry] // packed entryKey → entry
 	curInterval uint64
 }
 
 func newSetChain(g addrspace.Geometry, counterCap int) *setChain {
-	return &setChain{
-		geometry:   g,
-		counterCap: counterCap,
-		index:      make(map[uint64]*chainEntry),
-	}
+	return &setChain{geometry: g, counterCap: counterCap}
 }
 
 // Len returns the number of chain entries.
-func (c *setChain) Len() int { return len(c.index) }
+func (c *setChain) Len() int { return c.index.Len() }
 
 // partitionOf derives the entry's partition from its stamp.
 func (c *setChain) partitionOf(e *chainEntry) Partition {
@@ -118,7 +114,10 @@ func (c *setChain) partitionOf(e *chainEntry) Partition {
 // middle joins the old (the paper's P1 ← P2, P2 ← tail pointer update).
 func (c *setChain) rollover() { c.curInterval++ }
 
-func (c *setChain) get(k entryKey) *chainEntry { return c.index[k.packed()] }
+func (c *setChain) get(k entryKey) *chainEntry {
+	e, _ := c.index.Get(k.packed())
+	return e
+}
 
 // appendTail links e at the MRU position.
 func (c *setChain) appendTail(e *chainEntry) {
@@ -148,7 +147,7 @@ func (c *setChain) unlink(e *chainEntry) {
 // remove deletes the entry from the chain entirely (all its pages evicted).
 func (c *setChain) remove(e *chainEntry) {
 	c.unlink(e)
-	delete(c.index, e.key.packed())
+	c.index.Delete(e.key.packed())
 }
 
 // touch applies one reference event to the chain (Fig. 6): find or create
@@ -160,11 +159,10 @@ func (c *setChain) remove(e *chainEntry) {
 // faultOffset is the faulting page's offset within the set, or -1 for a
 // hit-batch update. Returns the entry.
 func (c *setChain) touch(k entryKey, inc, faultOffset int) *chainEntry {
-	pk := k.packed()
-	e := c.index[pk]
+	e := c.get(k)
 	if e == nil {
 		e = &chainEntry{key: k, movedInterval: c.curInterval}
-		c.index[pk] = e
+		c.index.Put(k.packed(), e)
 		c.appendTail(e)
 	} else if c.partitionOf(e) != PartitionNew {
 		c.unlink(e)
@@ -185,7 +183,7 @@ func (c *setChain) touch(k entryKey, inc, faultOffset int) *chainEntry {
 // entry only if it already exists (hit information for sets evicted before
 // the drain is dropped, mirroring the HIR's lossy nature).
 func (c *setChain) updateExisting(k entryKey, inc int) *chainEntry {
-	if c.index[k.packed()] == nil {
+	if !c.index.Has(k.packed()) {
 		return nil
 	}
 	return c.touch(k, inc, -1)

@@ -22,7 +22,7 @@ type divisionInfo struct {
 type HPE struct {
 	cfg       Config
 	chain     *setChain
-	divisions map[addrspace.SetID]divisionInfo
+	divisions addrspace.Table[addrspace.SetID, divisionInfo]
 	adj       *adjuster
 
 	classified bool
@@ -46,10 +46,9 @@ func New(cfg Config) *HPE {
 		panic(err)
 	}
 	return &HPE{
-		cfg:       cfg,
-		chain:     newSetChain(cfg.Geometry, cfg.CounterCap),
-		divisions: make(map[addrspace.SetID]divisionInfo),
-		adj:       newAdjuster(cfg),
+		cfg:   cfg,
+		chain: newSetChain(cfg.Geometry, cfg.CounterCap),
+		adj:   newAdjuster(cfg),
 	}
 }
 
@@ -66,7 +65,7 @@ func (h *HPE) Config() Config { return h.cfg }
 func (h *HPE) route(p addrspace.PageID) (entryKey, int) {
 	set := h.cfg.Geometry.SetOf(p)
 	off := h.cfg.Geometry.Offset(p)
-	d := h.divisions[set]
+	d, _ := h.divisions.Get(set)
 	if d.divided && d.primaryMask&(1<<uint(off)) == 0 {
 		return entryKey{set: set, secondary: true}, off
 	}
@@ -81,8 +80,7 @@ func (h *HPE) checkDivision(e *chainEntry) {
 		e.counter < h.cfg.divisionThreshold() {
 		return
 	}
-	d := h.divisions[e.key.set]
-	if d.divided {
+	if d, _ := h.divisions.Get(e.key.set); d.divided {
 		e.divided = true // first-division result reused
 		return
 	}
@@ -94,7 +92,7 @@ func (h *HPE) checkDivision(e *chainEntry) {
 	if bits.OnesCount32(mask) >= h.cfg.Geometry.SetSize() {
 		return // fully populated: stays one page set
 	}
-	h.divisions[e.key.set] = divisionInfo{divided: true, primaryMask: mask}
+	h.divisions.Put(e.key.set, divisionInfo{divided: true, primaryMask: mask})
 	h.divisionCount++
 }
 
@@ -119,7 +117,7 @@ func (h *HPE) OnWalkHit(p addrspace.PageID, seq int) {
 func (h *HPE) OnHitBatch(recs []hir.Record) {
 	h.hitBatchCount++
 	for _, r := range recs {
-		d := h.divisions[r.Set]
+		d, _ := h.divisions.Get(r.Set)
 		var primarySum, secondarySum int
 		for off, c := range r.Counts {
 			if c == 0 {

@@ -29,7 +29,7 @@ func checkChainInvariants(t *testing.T, h *HPE) {
 			t.Fatal("chain not stamp-sorted")
 		}
 		prev = e.movedInterval
-		if c.index[e.key.packed()] != e {
+		if c.get(e.key) != e {
 			t.Fatalf("entry %v not indexed", e.key)
 		}
 		if e.counter < 0 || e.counter > h.cfg.CounterCap {
@@ -39,7 +39,7 @@ func checkChainInvariants(t *testing.T, h *HPE) {
 			t.Fatalf("entry %v resident pages %b outside faulted set %b",
 				e.key, e.residentMask, e.bitVector)
 		}
-		if d := h.divisions[e.key.set]; d.divided {
+		if d, _ := h.divisions.Get(e.key.set); d.divided {
 			setMask := uint32(1<<uint(h.cfg.Geometry.SetSize())) - 1
 			if e.key.secondary && e.residentMask&d.primaryMask != 0 {
 				t.Fatalf("secondary %v holds primary pages", e.key)
@@ -49,8 +49,8 @@ func checkChainInvariants(t *testing.T, h *HPE) {
 			}
 		}
 	}
-	if count != len(c.index) {
-		t.Fatalf("chain length %d != index size %d", count, len(c.index))
+	if count != c.Len() {
+		t.Fatalf("chain length %d != index size %d", count, c.Len())
 	}
 }
 

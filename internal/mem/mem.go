@@ -27,7 +27,7 @@ type FrameID uint32
 // DeviceMemory is the GPU-resident frame pool plus page table.
 type DeviceMemory struct {
 	capacity int
-	table    map[addrspace.PageID]FrameID
+	table    addrspace.Table[addrspace.PageID, FrameID]
 	free     []FrameID
 
 	// Stats
@@ -48,40 +48,34 @@ func NewDeviceMemory(capacityFrames int) *DeviceMemory {
 		// descending.
 		free[i] = FrameID(capacityFrames - 1 - i)
 	}
-	return &DeviceMemory{
-		capacity: capacityFrames,
-		table:    make(map[addrspace.PageID]FrameID, capacityFrames),
-		free:     free,
-	}
+	return &DeviceMemory{capacity: capacityFrames, free: free}
 }
+
+// Reserve sizes the page table for pages in [lo, hi], so that mapping them
+// never grows it mid-run.
+func (m *DeviceMemory) Reserve(lo, hi addrspace.PageID) { m.table.Reserve(lo, hi) }
 
 // Capacity returns the total number of frames.
 func (m *DeviceMemory) Capacity() int { return m.capacity }
 
 // Len returns the number of resident pages.
-func (m *DeviceMemory) Len() int { return len(m.table) }
+func (m *DeviceMemory) Len() int { return m.table.Len() }
 
 // Full reports whether no free frame remains.
 func (m *DeviceMemory) Full() bool { return len(m.free) == 0 }
 
 // Resident reports whether the page is mapped.
-func (m *DeviceMemory) Resident(p addrspace.PageID) bool {
-	_, ok := m.table[p]
-	return ok
-}
+func (m *DeviceMemory) Resident(p addrspace.PageID) bool { return m.table.Has(p) }
 
 // Frame returns the frame backing a resident page.
-func (m *DeviceMemory) Frame(p addrspace.PageID) (FrameID, bool) {
-	f, ok := m.table[p]
-	return f, ok
-}
+func (m *DeviceMemory) Frame(p addrspace.PageID) (FrameID, bool) { return m.table.Get(p) }
 
 // Insert maps a page to a free frame. It returns ErrFull when the memory is
 // at capacity and the frame it assigned otherwise. Inserting an
 // already-resident page is a programming error and panics: the UVM driver
 // must never double-map.
 func (m *DeviceMemory) Insert(p addrspace.PageID) (FrameID, error) {
-	if _, ok := m.table[p]; ok {
+	if m.table.Has(p) {
 		panic(fmt.Sprintf("mem: double map of %v", p))
 	}
 	if len(m.free) == 0 {
@@ -89,21 +83,19 @@ func (m *DeviceMemory) Insert(p addrspace.PageID) (FrameID, error) {
 	}
 	f := m.free[len(m.free)-1]
 	m.free = m.free[:len(m.free)-1]
-	m.table[p] = f
+	m.table.Put(p, f)
 	m.inserts++
-	if len(m.table) > m.peak {
-		m.peak = len(m.table)
-	}
+	m.peak = max(m.peak, m.table.Len())
 	return f, nil
 }
 
 // Evict unmaps a resident page, returning its frame to the free pool.
 func (m *DeviceMemory) Evict(p addrspace.PageID) error {
-	f, ok := m.table[p]
+	f, ok := m.table.Get(p)
 	if !ok {
 		return ErrNotResident
 	}
-	delete(m.table, p)
+	m.table.Delete(p)
 	m.free = append(m.free, f)
 	m.evicts++
 	return nil

@@ -9,7 +9,7 @@ import "hpe/internal/addrspace"
 // thrashing pathology, which is exactly why the paper discusses CLOCK-Pro.
 type Clock struct {
 	ring  []clockEntry
-	index map[addrspace.PageID]int
+	index addrspace.Table[addrspace.PageID, int]
 	free  []int
 	hand  int
 }
@@ -21,9 +21,7 @@ type clockEntry struct {
 }
 
 // NewClock returns an empty CLOCK policy.
-func NewClock() *Clock {
-	return &Clock{index: make(map[addrspace.PageID]int)}
-}
+func NewClock() *Clock { return &Clock{} }
 
 // NewClockFactory adapts NewClock to the Factory signature.
 func NewClockFactory(capacityPages int) Policy { return NewClock() }
@@ -33,7 +31,7 @@ func (c *Clock) Name() string { return "CLOCK" }
 
 // OnWalkHit implements Policy: set the reference bit.
 func (c *Clock) OnWalkHit(p addrspace.PageID, seq int) {
-	if i, ok := c.index[p]; ok {
+	if i, ok := c.index.Get(p); ok {
 		c.ring[i].ref = true
 	}
 }
@@ -49,16 +47,16 @@ func (c *Clock) OnMapped(p addrspace.PageID, seq int) {
 		i := c.free[n-1]
 		c.free = c.free[:n-1]
 		c.ring[i] = e
-		c.index[p] = i
+		c.index.Put(p, i)
 		return
 	}
-	c.index[p] = len(c.ring)
+	c.index.Put(p, len(c.ring))
 	c.ring = append(c.ring, e)
 }
 
 // SelectVictim implements Policy: sweep the hand, granting second chances.
 func (c *Clock) SelectVictim() addrspace.PageID {
-	if len(c.index) == 0 {
+	if c.index.Len() == 0 {
 		panic("policy: CLOCK.SelectVictim with no resident pages")
 	}
 	n := len(c.ring)
@@ -66,7 +64,6 @@ func (c *Clock) SelectVictim() addrspace.PageID {
 	// must find a victim.
 	for sweep := 0; sweep < 2*n+1; sweep++ {
 		e := &c.ring[c.hand%n]
-		i := c.hand % n
 		c.hand = (c.hand + 1) % n
 		if !e.valid {
 			continue
@@ -75,7 +72,6 @@ func (c *Clock) SelectVictim() addrspace.PageID {
 			e.ref = false
 			continue
 		}
-		_ = i
 		return e.page
 	}
 	panic("policy: CLOCK hand failed to find a victim")
@@ -83,15 +79,15 @@ func (c *Clock) SelectVictim() addrspace.PageID {
 
 // OnEvicted implements Policy.
 func (c *Clock) OnEvicted(p addrspace.PageID) {
-	if i, ok := c.index[p]; ok {
+	if i, ok := c.index.Get(p); ok {
 		c.ring[i].valid = false
 		c.free = append(c.free, i)
-		delete(c.index, p)
+		c.index.Delete(p)
 	}
 }
 
 // Len returns the number of tracked resident pages.
-func (c *Clock) Len() int { return len(c.index) }
+func (c *Clock) Len() int { return c.index.Len() }
 
 // NRU is Not-Recently-Used: evict any page whose reference bit is clear,
 // scanning in arrival order; when every page is referenced, clear all bits
@@ -100,13 +96,11 @@ func (c *Clock) Len() int { return len(c.index) }
 // variant.) Like CLOCK, it approximates LRU and shares its weaknesses.
 type NRU struct {
 	chain *recencyList // arrival order: head = oldest
-	ref   map[addrspace.PageID]bool
+	ref   addrspace.Table[addrspace.PageID, bool]
 }
 
 // NewNRU returns an empty NRU policy.
-func NewNRU() *NRU {
-	return &NRU{chain: newRecencyList(), ref: make(map[addrspace.PageID]bool)}
-}
+func NewNRU() *NRU { return &NRU{chain: newRecencyList()} }
 
 // NewNRUFactory adapts NewNRU to the Factory signature.
 func NewNRUFactory(capacityPages int) Policy { return NewNRU() }
@@ -117,7 +111,7 @@ func (n *NRU) Name() string { return "NRU" }
 // OnWalkHit implements Policy.
 func (n *NRU) OnWalkHit(p addrspace.PageID, seq int) {
 	if n.chain.contains(p) {
-		n.ref[p] = true
+		n.ref.Put(p, true)
 	}
 }
 
@@ -127,7 +121,7 @@ func (n *NRU) OnFault(p addrspace.PageID, seq int) {}
 // OnMapped implements Policy.
 func (n *NRU) OnMapped(p addrspace.PageID, seq int) {
 	n.chain.pushMRU(p)
-	n.ref[p] = true
+	n.ref.Put(p, true)
 }
 
 // SelectVictim implements Policy.
@@ -136,13 +130,13 @@ func (n *NRU) SelectVictim() addrspace.PageID {
 		panic("policy: NRU.SelectVictim with no resident pages")
 	}
 	for node := n.chain.head; node != nil; node = node.next {
-		if !n.ref[node.page] {
+		if ref, _ := n.ref.Get(node.page); !ref {
 			return node.page
 		}
 	}
 	// Everyone was recently used: clear the epoch and take the oldest.
 	for node := n.chain.head; node != nil; node = node.next {
-		n.ref[node.page] = false
+		n.ref.Put(node.page, false)
 	}
 	return n.chain.head.page
 }
@@ -150,5 +144,5 @@ func (n *NRU) SelectVictim() addrspace.PageID {
 // OnEvicted implements Policy.
 func (n *NRU) OnEvicted(p addrspace.PageID) {
 	n.chain.remove(p)
-	delete(n.ref, p)
+	n.ref.Delete(p)
 }

@@ -37,7 +37,7 @@ type ClockPro struct {
 	capacity int // m: total resident pages
 	coldTgt  int // m_c: fixed target for resident cold pages
 
-	index  map[addrspace.PageID]*cpNode
+	index  addrspace.Table[addrspace.PageID, *cpNode]
 	oldest *cpNode // ring anchor: the oldest entry; .next walks old → new
 
 	handHot  *cpNode
@@ -68,7 +68,6 @@ func NewClockPro(capacityPages, coldTarget int) *ClockPro {
 	return &ClockPro{
 		capacity: capacityPages,
 		coldTgt:  coldTarget,
-		index:    make(map[addrspace.PageID]*cpNode),
 	}
 }
 
@@ -136,7 +135,7 @@ func (c *ClockPro) removeEntry(n *cpNode) {
 		c.nNonRes--
 	}
 	c.unlinkNode(n)
-	delete(c.index, n.page)
+	c.index.Delete(n.page)
 }
 
 // --- the three hands ---------------------------------------------------------
@@ -147,7 +146,7 @@ func (c *ClockPro) runHandTest() {
 	if c.handTest == nil {
 		c.handTest = c.oldest
 	}
-	for sweep := 0; c.handTest != nil && sweep < 2*len(c.index)+2; sweep++ {
+	for sweep := 0; c.handTest != nil && sweep < 2*c.index.Len()+2; sweep++ {
 		n := c.handTest
 		c.handTest = n.next
 		if n.state == stateColdNonResident {
@@ -167,7 +166,7 @@ func (c *ClockPro) runHandHot() {
 	if c.handHot == nil {
 		c.handHot = c.oldest
 	}
-	limit := 2*len(c.index) + 2
+	limit := 2*c.index.Len() + 2
 	for sweep := 0; c.handHot != nil && sweep < limit; sweep++ {
 		n := c.handHot
 		c.handHot = n.next
@@ -203,7 +202,7 @@ func (c *ClockPro) victimSearch() *cpNode {
 	if c.handCold == nil {
 		c.handCold = c.oldest
 	}
-	limit := 4*len(c.index) + 4
+	limit := 4*c.index.Len() + 4
 	for sweep := 0; sweep < limit; sweep++ {
 		n := c.handCold
 		c.handCold = n.next
@@ -243,7 +242,7 @@ func (c *ClockPro) victimSearch() *cpNode {
 
 // OnWalkHit implements Policy: set the reference bit.
 func (c *ClockPro) OnWalkHit(p addrspace.PageID, seq int) {
-	if n, ok := c.index[p]; ok && n.state != stateColdNonResident {
+	if n, ok := c.index.Get(p); ok && n.state != stateColdNonResident {
 		n.ref = true
 	}
 }
@@ -255,7 +254,7 @@ func (c *ClockPro) OnFault(p addrspace.PageID, seq int) {}
 // proves a short reuse distance — insert it hot; otherwise insert it cold
 // and start its test period.
 func (c *ClockPro) OnMapped(p addrspace.PageID, seq int) {
-	if n, ok := c.index[p]; ok {
+	if n, ok := c.index.Get(p); ok {
 		if n.state != stateColdNonResident {
 			panic(fmt.Sprintf("policy: ClockPro mapping already-resident %v", p))
 		}
@@ -264,7 +263,7 @@ func (c *ClockPro) OnMapped(p addrspace.PageID, seq int) {
 		//lint:ignore hpelint/hotalloc one node per mapped page; mapping happens on the priced far-fault path
 		hot := &cpNode{page: p, state: stateHot}
 		c.insertNewest(hot)
-		c.index[p] = hot
+		c.index.Put(p, hot)
 		c.nHot++
 		for c.nHot > c.capacity-c.coldTgt {
 			before := c.nHot
@@ -278,7 +277,7 @@ func (c *ClockPro) OnMapped(p addrspace.PageID, seq int) {
 	//lint:ignore hpelint/hotalloc one node per mapped page; mapping happens on the priced far-fault path
 	n := &cpNode{page: p, state: stateColdResident, inTest: true}
 	c.insertNewest(n)
-	c.index[p] = n
+	c.index.Put(p, n)
 	c.nColdRes++
 	// Bound non-resident metadata at the memory size.
 	for c.nNonRes > c.capacity {
@@ -301,7 +300,7 @@ func (c *ClockPro) SelectVictim() addrspace.PageID {
 // OnEvicted implements Policy: the page becomes non-resident; if its test
 // period is running, keep the metadata so a quick refault promotes it.
 func (c *ClockPro) OnEvicted(p addrspace.PageID) {
-	n, ok := c.index[p]
+	n, ok := c.index.Get(p)
 	if !ok || n.state == stateColdNonResident {
 		return
 	}

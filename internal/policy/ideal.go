@@ -1,7 +1,6 @@
 package policy
 
 import (
-	"container/heap"
 	"math"
 
 	"hpe/internal/addrspace"
@@ -26,7 +25,7 @@ import (
 type Ideal struct {
 	future *trace.FutureIndex
 	// nextUse holds the authoritative next-use position per resident page.
-	nextUse map[addrspace.PageID]int
+	nextUse addrspace.Table[addrspace.PageID, int]
 	victims idealHeap // max-heap: furthest next use on top
 	expiry  idealHeap // min-heap: soonest recorded next use on top
 	now     int
@@ -39,35 +38,70 @@ type idealHeapEntry struct {
 	next int
 }
 
+// idealHeap is a binary heap of entries keyed by next use: a max-heap, or a
+// min-heap when min is set. push and pop are container/heap's up and down
+// specialised to the entry type, step for step, so entries that tie (many
+// sit at neverUsedAgain) leave in exactly container/heap's order.
 type idealHeap struct {
 	entries []idealHeapEntry
 	min     bool
 }
 
-func (h idealHeap) Len() int { return len(h.entries) }
-func (h idealHeap) Less(i, j int) bool {
+func (h *idealHeap) less(i, j int) bool {
 	if h.min {
 		return h.entries[i].next < h.entries[j].next
 	}
 	return h.entries[i].next > h.entries[j].next
 }
-func (h idealHeap) Swap(i, j int) { h.entries[i], h.entries[j] = h.entries[j], h.entries[i] }
-func (h *idealHeap) Push(x any)   { h.entries = append(h.entries, x.(idealHeapEntry)) }
-func (h *idealHeap) Pop() any {
-	old := h.entries
-	n := len(old)
-	e := old[n-1]
-	h.entries = old[:n-1]
-	return e
+
+func (h *idealHeap) swap(i, j int) { h.entries[i], h.entries[j] = h.entries[j], h.entries[i] }
+
+func (h *idealHeap) push(e idealHeapEntry) {
+	h.entries = append(h.entries, e)
+	h.up(len(h.entries) - 1)
+}
+
+// pop removes the top entry.
+func (h *idealHeap) pop() {
+	n := len(h.entries) - 1
+	h.swap(0, n)
+	h.down(0, n)
+	h.entries = h.entries[:n]
+}
+
+func (h *idealHeap) up(j int) {
+	for {
+		i := (j - 1) / 2 // parent
+		if i == j || !h.less(j, i) {
+			break
+		}
+		h.swap(i, j)
+		j = i
+	}
+}
+
+func (h *idealHeap) down(i0, n int) {
+	i := i0
+	for {
+		j1 := 2*i + 1
+		if j1 >= n || j1 < 0 { // j1 < 0 after int overflow
+			break
+		}
+		j := j1 // left child
+		if j2 := j1 + 1; j2 < n && h.less(j2, j1) {
+			j = j2 // = 2*i + 2  // right child
+		}
+		if !h.less(j, i) {
+			break
+		}
+		h.swap(i, j)
+		i = j
+	}
 }
 
 // NewIdeal returns an Ideal policy with future knowledge of the given trace.
 func NewIdeal(fi *trace.FutureIndex) *Ideal {
-	return &Ideal{
-		future:  fi,
-		nextUse: make(map[addrspace.PageID]int),
-		expiry:  idealHeap{min: true},
-	}
+	return &Ideal{future: fi, expiry: idealHeap{min: true}}
 }
 
 // NewIdealFactory returns a Factory producing Ideal policies over tr.
@@ -84,19 +118,17 @@ func (b *Ideal) refresh(p addrspace.PageID, seq int) {
 	if !ok {
 		next = neverUsedAgain
 	}
-	b.nextUse[p] = next
+	b.nextUse.Put(p, next)
 	e := idealHeapEntry{page: p, next: next}
-	//lint:ignore hpelint/hotalloc container/heap's interface{} API boxes by design; ideal is the offline oracle baseline
-	heap.Push(&b.victims, e)
+	b.victims.push(e)
 	if next != neverUsedAgain {
-		//lint:ignore hpelint/hotalloc container/heap's interface{} API boxes by design; ideal is the offline oracle baseline
-		heap.Push(&b.expiry, e)
+		b.expiry.push(e)
 	}
 }
 
 // OnWalkHit implements Policy: recompute the page's next use.
 func (b *Ideal) OnWalkHit(p addrspace.PageID, seq int) {
-	if _, resident := b.nextUse[p]; resident {
+	if b.nextUse.Has(p) {
 		b.refresh(p, seq)
 	}
 }
@@ -114,13 +146,13 @@ func (b *Ideal) OnMapped(p addrspace.PageID, seq int) { b.refresh(p, seq) }
 // expire recomputes every live entry whose recorded next use fell behind the
 // fault frontier (the touch happened, unseen, inside the TLBs).
 func (b *Ideal) expire() {
-	for b.expiry.Len() > 0 {
+	for len(b.expiry.entries) > 0 {
 		top := b.expiry.entries[0]
 		if top.next >= b.now {
 			return
 		}
-		heap.Pop(&b.expiry)
-		current, resident := b.nextUse[top.page]
+		b.expiry.pop()
+		current, resident := b.nextUse.Get(top.page)
 		if !resident || current != top.next {
 			continue // stale duplicate
 		}
@@ -132,11 +164,11 @@ func (b *Ideal) expire() {
 // absent) next use.
 func (b *Ideal) SelectVictim() addrspace.PageID {
 	b.expire()
-	for b.victims.Len() > 0 {
+	for len(b.victims.entries) > 0 {
 		top := b.victims.entries[0]
-		current, resident := b.nextUse[top.page]
+		current, resident := b.nextUse.Get(top.page)
 		if !resident || current != top.next {
-			heap.Pop(&b.victims) // stale duplicate
+			b.victims.pop() // stale duplicate
 			continue
 		}
 		return top.page
@@ -145,7 +177,7 @@ func (b *Ideal) SelectVictim() addrspace.PageID {
 }
 
 // OnEvicted implements Policy.
-func (b *Ideal) OnEvicted(p addrspace.PageID) { delete(b.nextUse, p) }
+func (b *Ideal) OnEvicted(p addrspace.PageID) { b.nextUse.Delete(p) }
 
 // Len returns the number of tracked resident pages.
-func (b *Ideal) Len() int { return len(b.nextUse) }
+func (b *Ideal) Len() int { return b.nextUse.Len() }

@@ -17,28 +17,23 @@ type lruNode struct {
 // and FIFO (and reused as a building block elsewhere).
 type recencyList struct {
 	head, tail *lruNode
-	index      map[addrspace.PageID]*lruNode
+	index      addrspace.Table[addrspace.PageID, *lruNode]
 }
 
-func newRecencyList() *recencyList {
-	return &recencyList{index: make(map[addrspace.PageID]*lruNode)}
-}
+func newRecencyList() *recencyList { return &recencyList{} }
 
-func (l *recencyList) len() int { return len(l.index) }
+func (l *recencyList) len() int { return l.index.Len() }
 
-func (l *recencyList) contains(p addrspace.PageID) bool {
-	_, ok := l.index[p]
-	return ok
-}
+func (l *recencyList) contains(p addrspace.PageID) bool { return l.index.Has(p) }
 
 // pushMRU inserts p at the MRU (tail) position; p must not be present.
 func (l *recencyList) pushMRU(p addrspace.PageID) {
-	if _, ok := l.index[p]; ok {
+	if l.index.Has(p) {
 		panic(fmt.Sprintf("policy: page %v already in recency list", p))
 	}
 	//lint:ignore hpelint/hotalloc one node per mapped page; mapping happens on the priced far-fault path
 	n := &lruNode{page: p}
-	l.index[p] = n
+	l.index.Put(p, n)
 	if l.tail == nil {
 		l.head, l.tail = n, n
 		return
@@ -50,7 +45,7 @@ func (l *recencyList) pushMRU(p addrspace.PageID) {
 
 // touch moves p to the MRU position if present, reporting whether it was.
 func (l *recencyList) touch(p addrspace.PageID) bool {
-	n, ok := l.index[p]
+	n, ok := l.index.Get(p)
 	if !ok {
 		return false
 	}
@@ -80,12 +75,12 @@ func (l *recencyList) unlink(n *lruNode) {
 
 // remove deletes p, reporting whether it was present.
 func (l *recencyList) remove(p addrspace.PageID) bool {
-	n, ok := l.index[p]
+	n, ok := l.index.Get(p)
 	if !ok {
 		return false
 	}
 	l.unlink(n)
-	delete(l.index, p)
+	l.index.Delete(p)
 	return true
 }
 

@@ -12,15 +12,12 @@ import (
 type Random struct {
 	rng   *rand.Rand
 	pages []addrspace.PageID
-	pos   map[addrspace.PageID]int
+	pos   addrspace.Table[addrspace.PageID, int]
 }
 
 // NewRandom returns a Random policy with a deterministic seed.
 func NewRandom(seed int64) *Random {
-	return &Random{
-		rng: rand.New(rand.NewSource(seed)),
-		pos: make(map[addrspace.PageID]int),
-	}
+	return &Random{rng: rand.New(rand.NewSource(seed))}
 }
 
 // NewRandomFactory returns a Factory producing seeded Random policies.
@@ -43,7 +40,7 @@ func (r *Random) OnFault(p addrspace.PageID, seq int) {}
 
 // OnMapped implements Policy: track the resident set.
 func (r *Random) OnMapped(p addrspace.PageID, seq int) {
-	r.pos[p] = len(r.pages)
+	r.pos.Put(p, len(r.pages))
 	r.pages = append(r.pages, p)
 }
 
@@ -57,15 +54,15 @@ func (r *Random) SelectVictim() addrspace.PageID {
 
 // OnEvicted implements Policy: swap-remove from the resident slice.
 func (r *Random) OnEvicted(p addrspace.PageID) {
-	i, ok := r.pos[p]
+	i, ok := r.pos.Get(p)
 	if !ok {
 		return
 	}
 	last := len(r.pages) - 1
 	r.pages[i] = r.pages[last]
-	r.pos[r.pages[i]] = i
+	r.pos.Put(r.pages[i], i)
 	r.pages = r.pages[:last]
-	delete(r.pos, p)
+	r.pos.Delete(p)
 }
 
 // Len returns the number of tracked resident pages.
@@ -75,14 +72,12 @@ func (r *Random) Len() int { return len(r.pages) }
 // recency). The paper's related-work section observes that frequency alone
 // is not enough for unified memory; LFU is here to demonstrate that.
 type LFU struct {
-	counts map[addrspace.PageID]uint64
+	counts addrspace.Table[addrspace.PageID, uint64]
 	chain  *recencyList // recency order for tie-breaks; head = LRU
 }
 
 // NewLFU returns an empty LFU policy.
-func NewLFU() *LFU {
-	return &LFU{counts: make(map[addrspace.PageID]uint64), chain: newRecencyList()}
-}
+func NewLFU() *LFU { return &LFU{chain: newRecencyList()} }
 
 // NewLFUFactory adapts NewLFU to the Factory signature.
 func NewLFUFactory(capacityPages int) Policy { return NewLFU() }
@@ -92,8 +87,8 @@ func (l *LFU) Name() string { return "LFU" }
 
 // OnWalkHit implements Policy.
 func (l *LFU) OnWalkHit(p addrspace.PageID, seq int) {
-	if l.chain.contains(p) {
-		l.counts[p]++
+	if c, ok := l.counts.Get(p); ok {
+		l.counts.Put(p, c+1)
 		l.chain.touch(p)
 	}
 }
@@ -103,7 +98,7 @@ func (l *LFU) OnFault(p addrspace.PageID, seq int) {}
 
 // OnMapped implements Policy.
 func (l *LFU) OnMapped(p addrspace.PageID, seq int) {
-	l.counts[p] = 1
+	l.counts.Put(p, 1)
 	l.chain.pushMRU(p)
 }
 
@@ -114,7 +109,7 @@ func (l *LFU) SelectVictim() addrspace.PageID {
 	best := uint64(0)
 	found := false
 	for n := l.chain.head; n != nil; n = n.next {
-		c := l.counts[n.page]
+		c, _ := l.counts.Get(n.page)
 		if !found || c < best {
 			victim, best, found = n.page, c, true
 		}
@@ -128,5 +123,5 @@ func (l *LFU) SelectVictim() addrspace.PageID {
 // OnEvicted implements Policy.
 func (l *LFU) OnEvicted(p addrspace.PageID) {
 	l.chain.remove(p)
-	delete(l.counts, p)
+	l.counts.Delete(p)
 }

@@ -50,7 +50,7 @@ type RRIP struct {
 	cfg        RRIPConfig
 	maxRRPV    uint8
 	ring       []rripEntry
-	index      map[addrspace.PageID]int
+	index      addrspace.Table[addrspace.PageID, int]
 	freeSlots  []int
 	faultCount uint64
 }
@@ -63,7 +63,6 @@ func NewRRIP(cfg RRIPConfig) *RRIP {
 	return &RRIP{
 		cfg:     cfg,
 		maxRRPV: uint8(1<<cfg.MBits - 1),
-		index:   make(map[addrspace.PageID]int),
 	}
 }
 
@@ -77,7 +76,7 @@ func (r *RRIP) Name() string { return "RRIP" }
 
 // OnWalkHit implements Policy: frequency priority decrements RRPV.
 func (r *RRIP) OnWalkHit(p addrspace.PageID, seq int) {
-	if i, ok := r.index[p]; ok && r.ring[i].rrpv > 0 {
+	if i, ok := r.index.Get(p); ok && r.ring[i].rrpv > 0 {
 		r.ring[i].rrpv--
 	}
 }
@@ -97,10 +96,10 @@ func (r *RRIP) OnMapped(p addrspace.PageID, seq int) {
 		i := r.freeSlots[n-1]
 		r.freeSlots = r.freeSlots[:n-1]
 		r.ring[i] = e
-		r.index[p] = i
+		r.index.Put(p, i)
 		return
 	}
-	r.index[p] = len(r.ring)
+	r.index.Put(p, len(r.ring))
 	r.ring = append(r.ring, e)
 }
 
@@ -122,7 +121,7 @@ func (r *RRIP) eligible(e *rripEntry) bool {
 // the churn in low slots, which is what lets the delay field retain part of
 // the working set on thrashing patterns instead of degenerating to LRU.
 func (r *RRIP) SelectVictim() addrspace.PageID {
-	if len(r.index) == 0 {
+	if r.index.Len() == 0 {
 		panic("policy: RRIP.SelectVictim with no resident pages")
 	}
 	for round := uint8(0); round <= r.maxRRPV; round++ {
@@ -161,12 +160,12 @@ func (r *RRIP) scan(withDelay bool) (addrspace.PageID, bool) {
 
 // OnEvicted implements Policy.
 func (r *RRIP) OnEvicted(p addrspace.PageID) {
-	if i, ok := r.index[p]; ok {
+	if i, ok := r.index.Get(p); ok {
 		r.ring[i].valid = false
 		r.freeSlots = append(r.freeSlots, i)
-		delete(r.index, p)
+		r.index.Delete(p)
 	}
 }
 
 // Len returns the number of tracked resident pages.
-func (r *RRIP) Len() int { return len(r.index) }
+func (r *RRIP) Len() int { return r.index.Len() }

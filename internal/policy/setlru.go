@@ -18,16 +18,12 @@ import (
 type SetLRU struct {
 	geometry addrspace.Geometry
 	chain    *recencyList // of set-ids encoded as PageID keys; head = LRU
-	resident map[addrspace.SetID]uint32
+	resident addrspace.Table[addrspace.SetID, uint32]
 }
 
 // NewSetLRU returns a set-granularity LRU over the given geometry.
 func NewSetLRU(g addrspace.Geometry) *SetLRU {
-	return &SetLRU{
-		geometry: g,
-		chain:    newRecencyList(),
-		resident: make(map[addrspace.SetID]uint32),
-	}
+	return &SetLRU{geometry: g, chain: newRecencyList()}
 }
 
 // NewSetLRUFactory adapts NewSetLRU (default geometry) to Factory.
@@ -50,7 +46,7 @@ func (s *SetLRU) touch(id addrspace.SetID) {
 // OnWalkHit implements Policy: refresh the whole set.
 func (s *SetLRU) OnWalkHit(p addrspace.PageID, seq int) {
 	id := s.geometry.SetOf(p)
-	if _, ok := s.resident[id]; ok {
+	if s.resident.Has(id) {
 		s.touch(id)
 	}
 }
@@ -63,7 +59,8 @@ func (s *SetLRU) OnFault(p addrspace.PageID, seq int) {
 // OnMapped implements Policy: mark the page resident in its set.
 func (s *SetLRU) OnMapped(p addrspace.PageID, seq int) {
 	id := s.geometry.SetOf(p)
-	s.resident[id] |= 1 << uint(s.geometry.Offset(p))
+	mask, _ := s.resident.Get(id)
+	s.resident.Put(id, mask|1<<uint(s.geometry.Offset(p)))
 	s.touch(id)
 }
 
@@ -71,7 +68,7 @@ func (s *SetLRU) OnMapped(p addrspace.PageID, seq int) {
 func (s *SetLRU) SelectVictim() addrspace.PageID {
 	for n := s.chain.head; n != nil; n = n.next {
 		id := addrspace.SetID(n.page)
-		if mask := s.resident[id]; mask != 0 {
+		if mask, _ := s.resident.Get(id); mask != 0 {
 			return s.geometry.PageAt(id, bits.TrailingZeros32(mask))
 		}
 	}
@@ -81,18 +78,18 @@ func (s *SetLRU) SelectVictim() addrspace.PageID {
 // OnEvicted implements Policy: clear the page; drop the set when drained.
 func (s *SetLRU) OnEvicted(p addrspace.PageID) {
 	id := s.geometry.SetOf(p)
-	mask, ok := s.resident[id]
+	mask, ok := s.resident.Get(id)
 	if !ok {
 		return
 	}
 	mask &^= 1 << uint(s.geometry.Offset(p))
 	if mask == 0 {
-		delete(s.resident, id)
+		s.resident.Delete(id)
 		s.chain.remove(key(id))
 		return
 	}
-	s.resident[id] = mask
+	s.resident.Put(id, mask)
 }
 
 // Sets returns the number of tracked sets (for tests).
-func (s *SetLRU) Sets() int { return len(s.resident) }
+func (s *SetLRU) Sets() int { return s.resident.Len() }

@@ -82,7 +82,7 @@ func ReplayContext(ctx context.Context, tr *trace.Trace, p Policy, capacityPages
 		panic(fmt.Sprintf("policy: Replay capacity %d must be positive", capacityPages))
 	}
 	done := ctx.Done()
-	resident := make(map[addrspace.PageID]struct{}, capacityPages)
+	var resident addrspace.Table[addrspace.PageID, struct{}]
 	res := ReplayResult{Policy: p.Name(), Refs: tr.Len()}
 	// Per-tenant attribution, only for annotated traces: one nil check per
 	// site, same contract as the probe, so plain replays keep the fast path.
@@ -103,7 +103,7 @@ func ReplayContext(ctx context.Context, tr *trace.Trace, p Policy, capacityPages
 			default:
 			}
 		}
-		if _, ok := resident[page]; ok {
+		if resident.Has(page) {
 			res.Hits++
 			if tens != nil {
 				if i := tr.TenantOf(page); i >= 0 {
@@ -126,12 +126,12 @@ func ReplayContext(ctx context.Context, tr *trace.Trace, p Policy, capacityPages
 		if pr != nil {
 			pr.Emit(probe.FaultBegin(sim.Cycle(seq), page, seq, 0))
 		}
-		if len(resident) >= capacityPages {
+		if resident.Len() >= capacityPages {
 			victim := p.SelectVictim()
-			if _, ok := resident[victim]; !ok {
+			if !resident.Has(victim) {
 				panic(fmt.Sprintf("policy: %s selected non-resident victim %v", p.Name(), victim))
 			}
-			delete(resident, victim)
+			resident.Delete(victim)
 			p.OnEvicted(victim)
 			res.Evictions++
 			if tens != nil {
@@ -143,7 +143,7 @@ func ReplayContext(ctx context.Context, tr *trace.Trace, p Policy, capacityPages
 				pr.Emit(probe.Eviction(sim.Cycle(seq), victim, page))
 			}
 		}
-		resident[page] = struct{}{}
+		resident.Put(page, struct{}{})
 		p.OnMapped(page, seq)
 		if pr != nil {
 			pr.Emit(probe.FaultEnd(sim.Cycle(seq), page, seq, 0, false))

@@ -40,8 +40,9 @@ type Trace struct {
 	// per-tenant fault/eviction attribution. Empty for single-app traces.
 	Tenants []TenantRange
 
-	uniq     int  // cached unique-page count; 0 means not computed
-	uniqDone bool // distinguishes "not computed" from "trace is empty"
+	uniq     int              // cached unique-page count; 0 means not computed
+	lo, hi   addrspace.PageID // cached page span, computed with uniq
+	uniqDone bool             // distinguishes "not computed" from "trace is empty"
 }
 
 // Segment annotates references [Start, nextSegment.Start) — or through the
@@ -153,19 +154,33 @@ func NewWithBarriers(name string, refs []addrspace.PageID, barriers []int) *Trac
 func (t *Trace) Len() int { return len(t.Refs) }
 
 // Footprint returns the number of unique pages referenced. The result is
-// cached; mutating Refs after the first call invalidates it silently, so
-// treat traces as immutable once built.
+// cached together with the page span; mutating Refs after the first call
+// invalidates both silently, so treat traces as immutable once built.
 func (t *Trace) Footprint() int {
 	if t.uniqDone {
 		return t.uniq
 	}
 	seen := make(map[addrspace.PageID]struct{}, len(t.Refs)/4+1)
-	for _, p := range t.Refs {
+	for i, p := range t.Refs {
 		seen[p] = struct{}{}
+		if i == 0 || p < t.lo {
+			t.lo = p
+		}
+		if p > t.hi {
+			t.hi = p
+		}
 	}
 	t.uniq = len(seen)
 	t.uniqDone = true
 	return t.uniq
+}
+
+// Span returns the lowest and highest page referenced, (0, 0) for an empty
+// trace. It is cached by the same pass as Footprint, so priming Footprint
+// before a trace is shared primes Span too.
+func (t *Trace) Span() (lo, hi addrspace.PageID) {
+	t.Footprint()
+	return t.lo, t.hi
 }
 
 // FootprintBytes returns the footprint in bytes (unique pages × page size).
@@ -224,17 +239,19 @@ func (t *Trace) Counts() map[addrspace.PageID]int {
 // which it is referenced in the canonical order. The Ideal policy queries it
 // to find each resident page's next use after a given position.
 type FutureIndex struct {
-	positions map[addrspace.PageID][]int
+	positions addrspace.Table[addrspace.PageID, []int]
 	length    int
 }
 
 // BuildFutureIndex indexes the trace for Belady-MIN queries.
 func BuildFutureIndex(t *Trace) *FutureIndex {
-	pos := make(map[addrspace.PageID][]int, t.Footprint())
+	f := &FutureIndex{length: len(t.Refs)}
+	f.positions.Reserve(t.Span())
 	for i, p := range t.Refs {
-		pos[p] = append(pos[p], i)
+		ps, _ := f.positions.Get(p)
+		f.positions.Put(p, append(ps, i))
 	}
-	return &FutureIndex{positions: pos, length: len(t.Refs)}
+	return f
 }
 
 // Len returns the length of the indexed trace.
@@ -244,7 +261,7 @@ func (f *FutureIndex) Len() int { return f.length }
 // is referenced, or (0, false) if p is never referenced again. after = -1
 // asks for the first reference.
 func (f *FutureIndex) NextUse(p addrspace.PageID, after int) (int, bool) {
-	ps := f.positions[p]
+	ps, _ := f.positions.Get(p)
 	i := sort.SearchInts(ps, after+1)
 	if i == len(ps) {
 		return 0, false

@@ -152,11 +152,11 @@ type Driver struct {
 	// chase once wakeup closures are recycled through wakePool.
 	faults    []pendingFault
 	faultFree []int32
-	queue     []int32                    // waiting, FIFO
-	inFlight  map[addrspace.PageID]int32 // waiting + in service
-	wakePool  [][]func()                 // recycled wakeup slices
-	hDone     sim.HandlerID              // serviceDoneEvent registration
-	busy      int                        // channels in use
+	queue     []int32                                  // waiting, FIFO
+	inFlight  addrspace.Table[addrspace.PageID, int32] // waiting + in service
+	wakePool  [][]func()                               // recycled wakeup slices
+	hDone     sim.HandlerID                            // serviceDoneEvent registration
+	busy      int                                      // channels in use
 
 	probe probe.Probe // nil unless instrumented
 	stats Stats
@@ -185,13 +185,24 @@ func New(cfg Config, engine *sim.Engine, memory *mem.DeviceMemory, pol policy.Po
 		pol:        pol,
 		hirC:       hirCache,
 		invalidate: invalidate,
-		inFlight:   make(map[addrspace.PageID]int32),
 	}
 	d.hDone = engine.Register((*serviceDoneEvent)(d))
 	if sink, ok := pol.(HitBatchReceiver); ok {
 		d.sink = sink
 	}
 	return d
+}
+
+// prefetchBlock is the aligned block PrefetchPages migrates from.
+const prefetchBlock = 16
+
+// Reserve sizes the in-flight index and device memory's page table for a
+// trace over pages [lo, hi], rounded out to the prefetch block whose other
+// pages the driver may map too.
+func (d *Driver) Reserve(lo, hi addrspace.PageID) {
+	lo, hi = lo&^(prefetchBlock-1), hi|(prefetchBlock-1)
+	d.memory.Reserve(lo, hi)
+	d.inFlight.Reserve(lo, hi)
 }
 
 // SetProbe attaches an instrumentation probe (nil detaches). Every emission
@@ -274,7 +285,7 @@ func (d *Driver) Fault(p addrspace.PageID, seq int, wake func()) {
 		wake()
 		return
 	}
-	if fi, ok := d.inFlight[p]; ok {
+	if fi, ok := d.inFlight.Get(p); ok {
 		f := &d.faults[fi]
 		f.wakeups = append(f.wakeups, wake)
 		d.stats.Coalesced++
@@ -287,7 +298,7 @@ func (d *Driver) Fault(p addrspace.PageID, seq int, wake func()) {
 	f := &d.faults[fi]
 	*f = pendingFault{page: p, seq: seq, enq: d.engine.Now(), wakeups: d.allocWakeups(wake)}
 	d.queue = append(d.queue, fi)
-	d.inFlight[p] = fi
+	d.inFlight.Put(p, fi)
 	if len(d.queue) > d.stats.MaxQueueDepth {
 		d.stats.MaxQueueDepth = len(d.queue)
 	}
@@ -357,15 +368,14 @@ func (d *Driver) prefetch(page addrspace.PageID, seq int) {
 	if d.cfg.PrefetchPages <= 0 {
 		return
 	}
-	const block = 16
-	base := page &^ (block - 1)
+	base := page &^ (prefetchBlock - 1)
 	brought := 0
-	for off := addrspace.PageID(0); off < block && brought < d.cfg.PrefetchPages; off++ {
+	for off := addrspace.PageID(0); off < prefetchBlock && brought < d.cfg.PrefetchPages; off++ {
 		p := base + off
 		if p == page || d.memory.Resident(p) {
 			continue
 		}
-		if fj, pending := d.inFlight[p]; pending {
+		if fj, pending := d.inFlight.Get(p); pending {
 			f := &d.faults[fj]
 			if f.inService {
 				// Its service channel owns it; resolving here would race.
@@ -387,7 +397,7 @@ func (d *Driver) prefetch(page addrspace.PageID, seq int) {
 				d.chargeFault(p)
 			}
 			f.done = true
-			delete(d.inFlight, p)
+			d.inFlight.Delete(p)
 			if d.probe != nil {
 				now := d.engine.Now()
 				d.probe.Emit(probe.FaultEnd(now, p, f.seq, now-f.enq, true))
@@ -444,22 +454,8 @@ func (d *Driver) evictIfFull(trigger addrspace.PageID) bool {
 func (d *Driver) complete(fi int32) {
 	f := &d.faults[fi]
 	d.pol.OnFault(f.page, f.seq)
-	if d.memory.Full() {
-		victim := d.pol.SelectVictim()
-		if err := d.memory.Evict(victim); err != nil {
-			panic(fmt.Sprintf("uvm: policy %s chose bad victim %v: %v", d.pol.Name(), victim, err))
-		}
-		d.pol.OnEvicted(victim)
-		if d.invalidate != nil {
-			d.invalidate(victim)
-		}
-		d.stats.Evictions++
-		if d.tenants != nil {
-			d.chargeEviction(victim, f.page)
-		}
-		if d.probe != nil {
-			d.probe.Emit(probe.Eviction(d.engine.Now(), victim, f.page))
-		}
+	if d.evictIfFull(f.page) {
+		panic(fmt.Sprintf("uvm: policy %s chose a non-resident victim", d.pol.Name()))
 	}
 	if _, err := d.memory.Insert(f.page); err != nil {
 		panic(fmt.Sprintf("uvm: insert after eviction failed: %v", err))
@@ -469,7 +465,7 @@ func (d *Driver) complete(fi int32) {
 	if d.tenants != nil {
 		d.chargeFault(f.page)
 	}
-	delete(d.inFlight, f.page)
+	d.inFlight.Delete(f.page)
 	if d.probe != nil {
 		now := d.engine.Now()
 		d.probe.Emit(probe.FaultEnd(now, f.page, f.seq, now-f.enq, false))
