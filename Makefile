@@ -82,10 +82,12 @@ workload-check:
 # Fuzz targets, seed corpus only (the -fuzz loop is interactive; run
 # `go test -fuzz=FuzzEngineEquivalence ./internal/sim/`,
 # `go test -fuzz=FuzzCatalogGenerate ./internal/workload/`,
-# `go test -fuzz=FuzzPhaseSchedule ./internal/workload/`, or
-# `go test -fuzz=FuzzPageTable ./internal/addrspace/` to explore).
+# `go test -fuzz=FuzzPhaseSchedule ./internal/workload/`,
+# `go test -fuzz=FuzzPageTable ./internal/addrspace/`,
+# `go test -fuzz=FuzzTLBReference ./internal/tlb/`, or
+# `go test -fuzz=FuzzRRIPReference ./internal/policy/` to explore).
 fuzz-seed:
-	$(GO) test -run 'Fuzz' ./internal/workload/ ./internal/sim/ ./internal/trace/ ./internal/addrspace/
+	$(GO) test -run 'Fuzz' ./internal/workload/ ./internal/sim/ ./internal/trace/ ./internal/addrspace/ ./internal/tlb/ ./internal/policy/
 
 # One benchmark per paper table/figure plus the ablations.
 bench:

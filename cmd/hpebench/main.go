@@ -13,6 +13,7 @@
 //	hpebench -trace DIR       # stream a Chrome trace per simulation into DIR
 //	hpebench -metrics         # per-simulation event histograms on stderr
 //	hpebench -json -          # report metrics as JSON on stdout
+//	hpebench -cpuprofile F    # CPU profile of the sweep (-memprofile: heap)
 //
 // The run matrix is sharded across -workers goroutines (default: GOMAXPROCS).
 // Every simulation is deterministic and results are aggregated in canonical
@@ -39,6 +40,7 @@ import (
 	"hpe"
 	"hpe/internal/experiments"
 	"hpe/internal/probe"
+	"hpe/internal/prof"
 )
 
 func main() {
@@ -53,6 +55,8 @@ func main() {
 	metrics := flag.Bool("metrics", false, "print per-simulation event histograms to stderr")
 	benchJSON := flag.String("bench-json", "", "run the performance-trajectory harness and write BENCH_<n>.json to this path")
 	benchIters := flag.Int("bench-iters", 2000, "microbenchmark repetitions for -bench-json")
+	var pf prof.Flags
+	pf.Register(flag.CommandLine)
 	flag.Parse()
 
 	if *benchJSON != "" {
@@ -110,8 +114,17 @@ func main() {
 			ids[i] = strings.TrimSpace(id)
 		}
 	}
+	stopProfile, err := pf.Start()
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "hpebench: profile: %v\n", err)
+		os.Exit(1)
+	}
 	start := time.Now()
 	reports, err := suite.Reports(ids)
+	if perr := stopProfile(); perr != nil {
+		fmt.Fprintf(os.Stderr, "hpebench: profile: %v\n", perr)
+		os.Exit(1)
+	}
 	if errors.Is(err, context.Canceled) {
 		fmt.Fprintln(os.Stderr, "hpebench: interrupted")
 		os.Exit(130)

@@ -13,6 +13,7 @@
 //	hpesim -app BFS -policy lru,rrip,ideal,hpe -rate 50 -v
 //	hpesim -trace dump.hpet -policy clockpro -rate 75   # pre-generated trace
 //	hpesim -list                                        # list workloads
+//	hpesim -app HSD -policy rrip -cpuprofile cpu.prof   # profile the runs
 package main
 
 import (
@@ -26,6 +27,7 @@ import (
 
 	"hpe"
 	"hpe/internal/gpu"
+	"hpe/internal/prof"
 	"hpe/internal/runspec"
 	"hpe/internal/sim"
 	"hpe/internal/trace"
@@ -41,6 +43,8 @@ func main() {
 	listPolicies := flag.Bool("policies", false, "list registered eviction policies and exit")
 	metrics := flag.Bool("metrics", false, "attach a metrics probe and print per-event histograms")
 	verbose := flag.Bool("v", false, "print extended statistics")
+	var pf prof.Flags
+	pf.Register(flag.CommandLine)
 	flag.Parse()
 
 	if *list {
@@ -63,6 +67,16 @@ func main() {
 	go func() {
 		<-ctx.Done()
 		stop()
+	}()
+
+	stopProfile, err := pf.Start()
+	if err != nil {
+		fatalf("profile: %v", err)
+	}
+	defer func() {
+		if err := stopProfile(); err != nil {
+			fatalf("profile: %v", err)
+		}
 	}()
 
 	if *tracePath != "" {

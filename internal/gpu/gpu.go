@@ -361,10 +361,11 @@ func New(cfg Config, tr *trace.Trace, pol policy.Policy, opts ...Option) *Simula
 	s.hWalk = s.engine.Register((*walkDoneEvent)(s))
 	s.hComplete = s.engine.Register((*completeEvent)(s))
 	s.driver = uvm.New(cfg.Driver, s.engine, s.memory, pol, s.hirC, s.invalidate)
-	// Size the per-page tables for the trace's span up front, so the event
-	// loop never grows them.
+	// Size the per-page tables, the TLB indexes among them, for the trace's
+	// span up front, so the event loop never grows them.
 	lo, hi := tr.Span()
 	s.walkWaiters.Reserve(lo, hi)
+	s.l2.Reserve(lo, hi)
 	s.driver.Reserve(lo, hi)
 	if len(tr.Segments) > 0 {
 		// A segment-annotated trace (phase schedule or colocation) overrides
@@ -384,6 +385,7 @@ func New(cfg Config, tr *trace.Trace, pol policy.Policy, opts ...Option) *Simula
 			id: i,
 			l1: tlb.New(fmt.Sprintf("L1-%d", i), cfg.L1TLBEntries, cfg.L1TLBWays),
 		}
+		sm.l1.Reserve(lo, hi)
 		if cfg.ModelDataPath {
 			sm.l1d = cache.New(cfg.DataL1)
 		}

@@ -232,6 +232,44 @@ func TestRRIPBadConfigPanics(t *testing.T) {
 	NewRRIP(RRIPConfig{MBits: 0})
 }
 
+// TestRRIPWideRRPVRelaxesDelay: at MBits 8 the aging rounds run up to
+// maxRRPV = 255, which a uint8 round counter never exceeds; the search must
+// still end in the relaxed scan when every page is too young.
+func TestRRIPWideRRPVRelaxesDelay(t *testing.T) {
+	r := NewRRIP(RRIPConfig{MBits: 8, DelayThreshold: 1000})
+	r.OnFault(1, 0)
+	r.OnMapped(1, 0)
+	if v := r.SelectVictim(); v != 1 {
+		t.Fatalf("victim = %v, want 1", v)
+	}
+}
+
+// TestRRIPSteadyStateZeroAlloc pins RRIP's share of the hotalloc guarantee:
+// once the ring and the bitsets have grown to the resident set, victim
+// searches (aging included), walk hits, evictions and remapping into the
+// freed slot allocate nothing.
+func TestRRIPSteadyStateZeroAlloc(t *testing.T) {
+	const n = 256
+	r := NewRRIP(DefaultRRIPConfig())
+	for p := range n + 1 {
+		r.OnMapped(addrspace.PageID(p), p)
+	}
+	prev := r.SelectVictim()
+	r.OnEvicted(prev)
+	var seq int
+	avg := testing.AllocsPerRun(1000, func() {
+		seq++
+		r.OnWalkHit(addrspace.PageID(seq%n), seq)
+		v := r.SelectVictim()
+		r.OnEvicted(v)
+		r.OnMapped(prev, seq)
+		prev = v
+	})
+	if avg != 0 {
+		t.Errorf("RRIP steady state allocated %.2f objects per eviction, want 0", avg)
+	}
+}
+
 // --- CLOCK-Pro ---------------------------------------------------------------
 
 func TestClockProColdInsertionAndEviction(t *testing.T) {

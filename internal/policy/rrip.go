@@ -2,6 +2,7 @@ package policy
 
 import (
 	"fmt"
+	"math/bits"
 
 	"hpe/internal/addrspace"
 )
@@ -39,17 +40,23 @@ type rripEntry struct {
 	page  addrspace.PageID
 	rrpv  uint8
 	delay uint64 // global page-fault number at insertion
-	valid bool
 }
 
 // RRIP is the paper's enhanced RRIP-FP (frequency priority) policy: an M-bit
-// RRPV per page, decremented on hit; eviction scans CLOCK-style for a page
-// with the distant prediction whose delay requirement is met, aging all
-// pages when none qualifies.
+// RRPV per page, decremented on hit; eviction takes the lowest ring slot
+// holding a page with the distant prediction whose delay requirement is met,
+// aging all pages when none qualifies.
+//
+// Pages live in ring slots; levels[v] is a bitset over those slots, set
+// exactly for the resident pages whose RRPV is v. A victim search walks the
+// set bits of levels[max] in ascending slot order, the order in which a
+// linear scan from slot 0 meets them, so it picks that scan's victim
+// without reading the other entries.
 type RRIP struct {
 	cfg        RRIPConfig
 	maxRRPV    uint8
 	ring       []rripEntry
+	levels     [][]uint64 // per RRPV value: bitset over ring slots
 	index      addrspace.Table[addrspace.PageID, int]
 	freeSlots  []int
 	faultCount uint64
@@ -63,6 +70,7 @@ func NewRRIP(cfg RRIPConfig) *RRIP {
 	return &RRIP{
 		cfg:     cfg,
 		maxRRPV: uint8(1<<cfg.MBits - 1),
+		levels:  make([][]uint64, 1<<cfg.MBits),
 	}
 }
 
@@ -77,7 +85,10 @@ func (r *RRIP) Name() string { return "RRIP" }
 // OnWalkHit implements Policy: frequency priority decrements RRPV.
 func (r *RRIP) OnWalkHit(p addrspace.PageID, seq int) {
 	if i, ok := r.index.Get(p); ok && r.ring[i].rrpv > 0 {
-		r.ring[i].rrpv--
+		e := &r.ring[i]
+		r.flip(i, e.rrpv)
+		e.rrpv--
+		r.flip(i, e.rrpv)
 	}
 }
 
@@ -90,18 +101,27 @@ func (r *RRIP) OnMapped(p addrspace.PageID, seq int) {
 	if r.cfg.InsertDistant {
 		rrpv = r.maxRRPV
 	}
-	e := rripEntry{page: p, rrpv: rrpv, delay: r.faultCount, valid: true}
+	e := rripEntry{page: p, rrpv: rrpv, delay: r.faultCount}
 	// Reuse a freed slot when one exists; otherwise append.
+	i := len(r.ring)
 	if n := len(r.freeSlots); n > 0 {
-		i := r.freeSlots[n-1]
+		i = r.freeSlots[n-1]
 		r.freeSlots = r.freeSlots[:n-1]
 		r.ring[i] = e
-		r.index.Put(p, i)
-		return
+	} else {
+		if i%64 == 0 {
+			for v := range r.levels {
+				r.levels[v] = append(r.levels[v], 0)
+			}
+		}
+		r.ring = append(r.ring, e)
 	}
-	r.index.Put(p, len(r.ring))
-	r.ring = append(r.ring, e)
+	r.index.Put(p, i)
+	r.flip(i, rrpv)
 }
+
+// flip toggles slot i's bit in the RRPV-v bitset.
+func (r *RRIP) flip(i int, v uint8) { r.levels[v][i>>6] ^= 1 << (i & 63) }
 
 // eligible reports whether the entry meets the delay requirement: the margin
 // between the current fault number and the page's delay field is at least
@@ -124,16 +144,11 @@ func (r *RRIP) SelectVictim() addrspace.PageID {
 	if r.index.Len() == 0 {
 		panic("policy: RRIP.SelectVictim with no resident pages")
 	}
-	for round := uint8(0); round <= r.maxRRPV; round++ {
+	for range int(r.maxRRPV) + 1 {
 		if p, ok := r.scan(true); ok {
 			return p
 		}
-		// Age: increment every RRPV below max.
-		for i := range r.ring {
-			if r.ring[i].valid && r.ring[i].rrpv < r.maxRRPV {
-				r.ring[i].rrpv++
-			}
-		}
+		r.age()
 	}
 	// All RRPVs are max but nothing satisfies the delay requirement: relax it.
 	if p, ok := r.scan(false); ok {
@@ -142,26 +157,42 @@ func (r *RRIP) SelectVictim() addrspace.PageID {
 	panic("policy: RRIP.SelectVictim scan failed despite resident pages")
 }
 
-// scan sweeps the ring once from slot 0 looking for a distant-prediction
-// entry; withDelay additionally requires the delay margin.
+// scan visits the distant-prediction entries in ascending slot order and
+// returns the first; withDelay additionally requires the delay margin.
 func (r *RRIP) scan(withDelay bool) (addrspace.PageID, bool) {
-	for i := range r.ring {
-		e := &r.ring[i]
-		if !e.valid || e.rrpv != r.maxRRPV {
-			continue
+	for w, word := range r.levels[r.maxRRPV] {
+		for ; word != 0; word &= word - 1 {
+			e := &r.ring[w<<6|bits.TrailingZeros64(word)]
+			if !withDelay || r.eligible(e) {
+				return e.page, true
+			}
 		}
-		if withDelay && !r.eligible(e) {
-			continue
-		}
-		return e.page, true
 	}
 	return 0, false
+}
+
+// age increments every RRPV below max: levels[max-1] merges into
+// levels[max], each lower bitset moves up one value, and levels[0] starts
+// empty. Freed slots age too, harmlessly: OnMapped overwrites their RRPV.
+func (r *RRIP) age() {
+	top, next := r.levels[r.maxRRPV], r.levels[r.maxRRPV-1]
+	for w, word := range next {
+		top[w] |= word
+	}
+	copy(r.levels[1:r.maxRRPV], r.levels[:r.maxRRPV-1])
+	clear(next)
+	r.levels[0] = next
+	for i := range r.ring {
+		if r.ring[i].rrpv < r.maxRRPV {
+			r.ring[i].rrpv++
+		}
+	}
 }
 
 // OnEvicted implements Policy.
 func (r *RRIP) OnEvicted(p addrspace.PageID) {
 	if i, ok := r.index.Get(p); ok {
-		r.ring[i].valid = false
+		r.flip(i, r.ring[i].rrpv)
 		r.freeSlots = append(r.freeSlots, i)
 		r.index.Delete(p)
 	}

@@ -7,13 +7,14 @@ import (
 )
 
 // TestLookupFillSteadyStateZeroAlloc pins the hotalloc root tlb.TLB.Lookup
-// (and the Fill/Invalidate churn around it) with a runtime measurement:
-// the pageMap is sized once at construction and never grows, so hits,
-// misses and replacement fills are all allocation-free. The working set is
-// twice the capacity, so the loop exercises eviction and backward-shift
-// deletion, not just warm hits.
+// (and the Fill/Invalidate churn around it) with a runtime measurement: a
+// TLB whose page index is reserved over the pages it will see never grows
+// it, so hits, misses, replacement fills and shootdowns are all
+// allocation-free. The working set is twice the capacity, so the loop
+// exercises eviction, not just warm hits.
 func TestLookupFillSteadyStateZeroAlloc(t *testing.T) {
 	tl := New("l1", 64, 4)
+	tl.Reserve(0, 127)
 	for p := 0; p < 128; p++ {
 		tl.Fill(addrspace.PageID(p))
 	}

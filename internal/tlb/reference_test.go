@@ -106,12 +106,112 @@ func (t *referenceTLB) Occupancy() int {
 	return n
 }
 
-// TestDifferentialAgainstTimestampLRU drives the list-based TLB and the
-// original timestamp implementation with identical randomized operation
-// streams across the paper's geometries and asserts identical observable
-// behaviour: every Lookup result, every Invalidate result, occupancy, and
-// all stats counters. Unique timestamps mean the reference has no LRU ties,
-// so any divergence is a real behaviour change in the rewrite.
+// refBase is where fuzzed page keys start: a catalog trace's first page.
+const refBase = addrspace.PageID(0x80000)
+
+// refGeometries are the shapes FuzzTLBReference cycles through: direct
+// mapped, 16-way (the paper's L2 associativity) and fully associative (the
+// paper's L1), each small enough that short streams evict.
+var refGeometries = []struct{ entries, ways int }{{16, 1}, {64, 16}, {32, 32}}
+
+// checkAgainstReference drives a TLB and the original timestamp
+// implementation with one operation stream, three bytes per operation, and
+// fails on the first Lookup or Invalidate result, occupancy or stats
+// counter that differs. Unique timestamps mean the reference has no LRU
+// ties, so any divergence is a real behaviour change in the rewrite.
+//
+// The op byte picks the operation (3/8 Lookup, 3/8 Fill, 1/8 Invalidate,
+// 1/8 Flush-or-nothing) and the key's region: three times in four the span
+// [refBase, refBase+3·entries), which a reserved TLB covers, otherwise the
+// 3·entries pages just below it or 2^36 pages above it, which switches the
+// page index to its sparse map. The next two bytes, little endian, give
+// the offset within the region, so every geometry sees a universe of
+// 3·entries in-span keys and heavy set conflict. A Flush happens about
+// once per 64·entries operations, so every set turns over many times
+// between flushes whatever the geometry.
+//
+// It returns how many fills evicted a valid entry and how many flushes ran,
+// so a caller can check that its stream exercised LRU replacement.
+func checkAgainstReference(t *testing.T, entries, ways int, reserve bool, ops []byte) (evictions, flushes int) {
+	t.Helper()
+	fast := New("fast", entries, ways)
+	if reserve {
+		fast.Reserve(refBase, refBase+addrspace.PageID(3*entries-1))
+	}
+	ref := newReferenceTLB(entries, ways)
+	for i := 0; i+2 < len(ops); i += 3 {
+		op, word := ops[i], int(ops[i+1])|int(ops[i+2])<<8
+		off := addrspace.PageID(word % (3 * entries))
+		p := refBase + off
+		switch op >> 3 % 8 {
+		case 6:
+			p = refBase - 1 - off
+		case 7:
+			p = refBase + 1<<36 + off
+		}
+		switch op % 8 {
+		case 0, 1, 2:
+			if fast.Lookup(p) != ref.Lookup(p) {
+				t.Fatalf("%dx%d op %d: Lookup(%v) diverges", entries, ways, i/3, p)
+			}
+		case 3, 4, 5:
+			occ, fills := ref.Occupancy(), ref.fills
+			fast.Fill(p)
+			ref.Fill(p)
+			if ref.fills > fills && ref.Occupancy() == occ {
+				evictions++
+			}
+		case 6:
+			if fast.Invalidate(p) != ref.Invalidate(p) {
+				t.Fatalf("%dx%d op %d: Invalidate(%v) diverges", entries, ways, i/3, p)
+			}
+		default:
+			if word%(8*entries) == 0 {
+				fast.Flush()
+				ref.Flush()
+				flushes++
+			}
+		}
+		if fast.Occupancy() != ref.Occupancy() {
+			t.Fatalf("%dx%d op %d: occupancy diverges: %d vs %d",
+				entries, ways, i/3, fast.Occupancy(), ref.Occupancy())
+		}
+	}
+	h, m, f, inv := fast.Stats()
+	if h != ref.hits || m != ref.misses || f != ref.fills || inv != ref.invalides {
+		t.Fatalf("%dx%d stats diverge: fast %d/%d/%d/%d, ref %d/%d/%d/%d",
+			entries, ways, h, m, f, inv, ref.hits, ref.misses, ref.fills, ref.invalides)
+	}
+	return evictions, flushes
+}
+
+// FuzzTLBReference checks the list-based TLB against the timestamp
+// reference on fuzzed operation streams. The first byte picks the geometry
+// and whether the TLB's page index is reserved over the key span; the rest
+// is the stream checkAgainstReference decodes.
+func FuzzTLBReference(f *testing.F) {
+	for shape := range 2 * len(refGeometries) {
+		rng := rand.New(rand.NewSource(int64(shape)))
+		ops := make([]byte, 1+3*400)
+		rng.Read(ops)
+		ops[0] = byte(shape)
+		f.Add(ops)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) == 0 {
+			return
+		}
+		g := refGeometries[int(data[0])%len(refGeometries)]
+		checkAgainstReference(t, g.entries, g.ways, data[0]/byte(len(refGeometries))%2 == 1, data[1:])
+	})
+}
+
+// TestDifferentialAgainstTimestampLRU runs long random streams through the
+// fuzz target's check at the paper's geometries and two tiny ones, reserved
+// and not: at least 20,000 operations and 256·entries, so each stream
+// expects about four flushes. The in-span key universe is 3·entries pages,
+// as in the original differential test, and the test fails if a stream
+// evicted fewer than 4·entries entries or never flushed.
 func TestDifferentialAgainstTimestampLRU(t *testing.T) {
 	geometries := []struct{ entries, ways int }{
 		{128, 128}, // paper L1: fully associative
@@ -120,40 +220,14 @@ func TestDifferentialAgainstTimestampLRU(t *testing.T) {
 		{8, 2},     // tiny, high conflict
 	}
 	for _, g := range geometries {
-		rng := rand.New(rand.NewSource(int64(g.entries*31 + g.ways)))
-		fast := New("fast", g.entries, g.ways)
-		ref := newReferenceTLB(g.entries, g.ways)
-		// Small page universe forces heavy set conflict and reuse.
-		universe := g.entries * 3
-		for op := 0; op < 20000; op++ {
-			p := addrspace.PageID(rng.Intn(universe))
-			switch rng.Intn(10) {
-			case 0, 1, 2, 3: // 40% lookups
-				if fast.Lookup(p) != ref.Lookup(p) {
-					t.Fatalf("%dx%d op %d: Lookup(%d) diverges", g.entries, g.ways, op, p)
-				}
-			case 4, 5, 6, 7: // 40% fills
-				fast.Fill(p)
-				ref.Fill(p)
-			case 8: // 10% shootdowns
-				if fast.Invalidate(p) != ref.Invalidate(p) {
-					t.Fatalf("%dx%d op %d: Invalidate(%d) diverges", g.entries, g.ways, op, p)
-				}
-			default: // rare flush
-				if rng.Intn(50) == 0 {
-					fast.Flush()
-					ref.Flush()
-				}
+		for _, reserve := range []bool{false, true} {
+			rng := rand.New(rand.NewSource(int64(g.entries*31 + g.ways)))
+			ops := make([]byte, 3*max(20000, 256*g.entries))
+			rng.Read(ops)
+			evictions, flushes := checkAgainstReference(t, g.entries, g.ways, reserve, ops)
+			if evictions < 4*g.entries || flushes == 0 {
+				t.Fatalf("%dx%d: stream too weak: %d evictions, %d flushes", g.entries, g.ways, evictions, flushes)
 			}
-			if fast.Occupancy() != ref.Occupancy() {
-				t.Fatalf("%dx%d op %d: occupancy diverges: %d vs %d",
-					g.entries, g.ways, op, fast.Occupancy(), ref.Occupancy())
-			}
-		}
-		h, m, f, inv := fast.Stats()
-		if h != ref.hits || m != ref.misses || f != ref.fills || inv != ref.invalides {
-			t.Fatalf("%dx%d stats diverge: fast %d/%d/%d/%d, ref %d/%d/%d/%d",
-				g.entries, g.ways, h, m, f, inv, ref.hits, ref.misses, ref.fills, ref.invalides)
 		}
 	}
 }

@@ -8,7 +8,8 @@
 // visibility (which references reach the page walker) is what the paper's
 // mechanisms key off.
 //
-// Every operation is O(1): a page → entry index map answers presence, and
+// Every operation is O(1): an addrspace.Table from page to entry index
+// answers presence (Reserve sizes it over a trace's span up front), and
 // each set maintains an intrusive doubly-linked list ordered LRU → MRU with
 // invalid entries parked at the LRU end. This replaces the original
 // timestamp-per-entry scheme, which scanned the whole set on every Lookup,
@@ -35,10 +36,11 @@ type TLB struct {
 	name    string
 	sets    int
 	ways    int
-	entries []entry  // sets × ways, row-major
-	head    []int32  // per-set list head: invalid-first, then LRU
-	tail    []int32  // per-set list tail: MRU
-	index   *pageMap // valid pages → entry index
+	entries []entry // sets × ways, row-major
+	head    []int32 // per-set list head: invalid-first, then LRU
+	tail    []int32 // per-set list tail: MRU
+	// index maps each valid page to its entry.
+	index addrspace.Table[addrspace.PageID, int32]
 
 	hits      uint64
 	misses    uint64
@@ -66,7 +68,6 @@ func New(name string, entries, ways int) *TLB {
 		entries: make([]entry, entries),
 		head:    make([]int32, entries/ways),
 		tail:    make([]int32, entries/ways),
-		index:   newPageMap(entries),
 	}
 	t.resetLists()
 	return t
@@ -86,6 +87,10 @@ func (t *TLB) resetLists() {
 		t.entries[last].next = -1
 	}
 }
+
+// Reserve sizes the page index over [lo, hi] up front, so that Fill never
+// grows it for pages in that span (see addrspace.Table.Reserve).
+func (t *TLB) Reserve(lo, hi addrspace.PageID) { t.index.Reserve(lo, hi) }
 
 // Name returns the TLB's label (for stats reporting).
 func (t *TLB) Name() string { return t.name }
@@ -143,7 +148,7 @@ func (t *TLB) moveToHead(s int, i int32) {
 
 // Lookup probes the TLB. A hit refreshes the entry's LRU state.
 func (t *TLB) Lookup(p addrspace.PageID) bool {
-	if i := t.index.get(p); i >= 0 {
+	if i, ok := t.index.Get(p); ok {
 		t.moveToTail(t.set(p), i)
 		t.hits++
 		return true
@@ -155,7 +160,7 @@ func (t *TLB) Lookup(p addrspace.PageID) bool {
 // Fill installs a translation, evicting the LRU way of the set if needed.
 // Filling an already-present page just refreshes it.
 func (t *TLB) Fill(p addrspace.PageID) {
-	if i := t.index.get(p); i >= 0 {
+	if i, ok := t.index.Get(p); ok {
 		t.moveToTail(t.set(p), i)
 		return
 	}
@@ -163,22 +168,22 @@ func (t *TLB) Fill(p addrspace.PageID) {
 	v := t.head[s] // invalid entry if any exists, else the LRU way
 	e := &t.entries[v]
 	if e.valid {
-		t.index.del(e.page)
+		t.index.Delete(e.page)
 	}
 	e.page = p
 	e.valid = true
-	t.index.put(p, v)
+	t.index.Put(p, v)
 	t.moveToTail(s, v)
 	t.fills++
 }
 
 // Invalidate removes a translation if present (page eviction shootdown).
 func (t *TLB) Invalidate(p addrspace.PageID) bool {
-	i := t.index.get(p)
-	if i < 0 {
+	i, ok := t.index.Get(p)
+	if !ok {
 		return false
 	}
-	t.index.del(p)
+	t.index.Delete(p)
 	t.entries[i].valid = false
 	t.moveToHead(t.set(p), i)
 	t.invalides++
@@ -187,8 +192,12 @@ func (t *TLB) Invalidate(p addrspace.PageID) bool {
 
 // Flush invalidates every entry.
 func (t *TLB) Flush() {
+	for i := range t.entries {
+		if t.entries[i].valid {
+			t.index.Delete(t.entries[i].page)
+		}
+	}
 	t.resetLists()
-	t.index.clear()
 }
 
 // Stats returns cumulative hit/miss/fill/invalidate counts.
@@ -207,5 +216,5 @@ func (t *TLB) HitRate() float64 {
 
 // Occupancy returns the number of valid entries.
 func (t *TLB) Occupancy() int {
-	return t.index.len()
+	return t.index.Len()
 }
