@@ -84,10 +84,11 @@ workload-check:
 # `go test -fuzz=FuzzCatalogGenerate ./internal/workload/`,
 # `go test -fuzz=FuzzPhaseSchedule ./internal/workload/`,
 # `go test -fuzz=FuzzPageTable ./internal/addrspace/`,
-# `go test -fuzz=FuzzTLBReference ./internal/tlb/`, or
-# `go test -fuzz=FuzzRRIPReference ./internal/policy/` to explore).
+# `go test -fuzz=FuzzTLBReference ./internal/tlb/`,
+# `go test -fuzz=FuzzRRIPReference ./internal/policy/`, or
+# `go test -fuzz=FuzzSpecDecode ./internal/runspec/` to explore).
 fuzz-seed:
-	$(GO) test -run 'Fuzz' ./internal/workload/ ./internal/sim/ ./internal/trace/ ./internal/addrspace/ ./internal/tlb/ ./internal/policy/
+	$(GO) test -run 'Fuzz' ./internal/workload/ ./internal/sim/ ./internal/trace/ ./internal/addrspace/ ./internal/tlb/ ./internal/policy/ ./internal/runspec/
 
 # One benchmark per paper table/figure plus the ablations.
 bench:

@@ -223,7 +223,7 @@ func ReplaySpec(sp RunSpec, opts ...RunOption) (ReplayResult, error) {
 		//lint:ignore hpelint/ctxflow omitting WithContext means "not cancellable" by documented contract; Background keeps the unpolled fast path
 		ctx = context.Background()
 	}
-	r := policy.ReplayContext(ctx, m.Trace, m.Policy, m.Capacity, pr)
+	r := policy.Replay(ctx, m.Trace, m.Policy, m.Capacity, pr)
 	flushProbe(pr)
 	return r, nil
 }
@@ -239,7 +239,7 @@ func Replay(tr *Trace, pol Policy, capacityPages int, opts ...RunOption) ReplayR
 		//lint:ignore hpelint/ctxflow omitting WithContext means "not cancellable" by documented contract; Background keeps the unpolled fast path
 		ctx = context.Background()
 	}
-	r := policy.ReplayContext(ctx, tr, pol, capacityPages, pr)
+	r := policy.Replay(ctx, tr, pol, capacityPages, pr)
 	flushProbe(pr)
 	return r
 }

@@ -59,3 +59,36 @@ func TestPrepopulatedRunAllocBound(t *testing.T) {
 		t.Errorf("prepopulated HSD run allocated %.0f objects, want <= 2844", catalog)
 	}
 }
+
+// TestFaultingRunAllocBound extends the allocation guarantee to the far-fault
+// path: walk miss → driver queue → service → wake → complete. The trace
+// cycles over more pages than device memory holds, so every pass faults
+// again. CLOCK keeps its ring and free list in slices (no per-map node) and
+// HIR is off (no drain buffers), so the runs at N and 2N accesses share all
+// construction and table growth, and the difference between them is what
+// the extra faults cost.
+func TestFaultingRunAllocBound(t *testing.T) {
+	const pages, n = 512, 20000
+	cfg := smallConfig(pages * 3 / 4)
+	run := func(accesses int) (allocs float64, faults uint64) {
+		refs := make([]addrspace.PageID, accesses)
+		for i := range refs {
+			refs[i] = addrspace.PageID(i % pages)
+		}
+		tr := trace.New("faulting", refs)
+		allocs = testing.AllocsPerRun(1, func() {
+			faults = Run(cfg, tr, policy.NewClock()).Faults
+		})
+		return allocs, faults
+	}
+	a1, f1 := run(n)
+	a2, f2 := run(2 * n)
+	if f2 <= f1 {
+		t.Fatalf("faults at 2N = %d, at N = %d: the trace does not keep faulting", f2, f1)
+	}
+	perFault := (a2 - a1) / float64(f2-f1)
+	if perFault >= 0.05 {
+		t.Errorf("%d extra faults allocated %.0f extra objects (%.3f per fault), want < 0.05",
+			f2-f1, a2-a1, perFault)
+	}
+}

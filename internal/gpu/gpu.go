@@ -205,11 +205,12 @@ type continuation struct {
 	seq  int
 }
 
-// The three hot-path event kinds are named handler types over the Simulator
+// The simulator's event kinds are named handler types over the Simulator
 // itself — `(*issueEvent)(s)` is a zero-allocation pointer conversion, so
 // scheduling an issue, walk-completion, or access-completion event costs no
 // heap allocation at all (the payload travels in the event's two integer
-// words). Only cold paths (fault service, barrier probes) still use closures.
+// words). A far-faulted access waits in faultWaiters until the driver calls
+// wake for its page, so faults allocate nothing either.
 
 // issueEvent runs the translation path: a0 = SM id, a1 = access sequence.
 type issueEvent Simulator
@@ -237,6 +238,9 @@ func (e *completeEvent) OnEvent(a0, a1 uint64) {
 	s.dispatch(s.sms[a0])
 	s.releaseBarrier()
 }
+
+// waiters maps a page to the accesses blocked on it.
+type waiters = addrspace.Table[addrspace.PageID, []continuation]
 
 type smState struct {
 	id        int
@@ -266,7 +270,8 @@ type Simulator struct {
 	hComplete sim.HandlerID
 
 	cursor       int
-	walkWaiters  addrspace.Table[addrspace.PageID, []continuation]
+	walkWaiters  waiters          // accesses waiting on a page-table walk
+	faultWaiters waiters          // accesses waiting on a far-fault, until wake
 	contPool     [][]continuation // recycled waiter slices (capacity retained)
 	completed    uint64
 	instructions uint64
@@ -360,11 +365,12 @@ func New(cfg Config, tr *trace.Trace, pol policy.Policy, opts ...Option) *Simula
 	s.hIssue = s.engine.Register((*issueEvent)(s))
 	s.hWalk = s.engine.Register((*walkDoneEvent)(s))
 	s.hComplete = s.engine.Register((*completeEvent)(s))
-	s.driver = uvm.New(cfg.Driver, s.engine, s.memory, pol, s.hirC, s.invalidate)
+	s.driver = uvm.New(cfg.Driver, s.engine, s.memory, pol, s.hirC, s.invalidate, s.wake)
 	// Size the per-page tables, the TLB indexes among them, for the trace's
 	// span up front, so the event loop never grows them.
 	lo, hi := tr.Span()
 	s.walkWaiters.Reserve(lo, hi)
+	s.faultWaiters.Reserve(lo, hi)
 	s.l2.Reserve(lo, hi)
 	s.driver.Reserve(lo, hi)
 	if len(tr.Segments) > 0 {
@@ -481,23 +487,13 @@ func (s *Simulator) issue(sm *smState, seq int) {
 		}
 	}
 	// Page walk, with MSHR-style merging of concurrent walks.
-	cont := continuation{smID: sm.id, seq: seq}
-	if ws, ok := s.walkWaiters.Get(page); ok {
-		//lint:ignore hpelint/hotalloc waiter slices recycle through contPool, so growth amortizes across walks
-		s.walkWaiters.Put(page, append(ws, cont))
+	if s.await(&s.walkWaiters, page, continuation{smID: sm.id, seq: seq}) {
 		s.walkMerges++
 		if s.probe != nil {
 			s.probe.Emit(probe.WalkMerge(s.engine.Now(), sm.id, page, seq))
 		}
 		return
 	}
-	var ws []continuation
-	if n := len(s.contPool); n > 0 {
-		ws = s.contPool[n-1]
-		s.contPool = s.contPool[:n-1]
-	}
-	//lint:ignore hpelint/hotalloc waiter slices recycle through contPool, so growth amortizes across walks
-	s.walkWaiters.Put(page, append(ws, cont))
 	s.walks++
 	var delay sim.Cycle
 	if s.pwalk != nil {
@@ -506,6 +502,21 @@ func (s *Simulator) issue(sm *smState, seq int) {
 		delay = s.cfg.L1TLBLatency + s.cfg.L2TLBLatency + s.cfg.WalkLatency
 	}
 	s.engine.ScheduleAfter(delay, s.hWalk, uint64(page), 0)
+}
+
+// await appends c to page's waiter list in w, starting the list from a
+// recycled slice, and reports whether the page already had waiters.
+func (s *Simulator) await(w *waiters, page addrspace.PageID, c continuation) bool {
+	ws, ok := w.Get(page)
+	if !ok {
+		if n := len(s.contPool); n > 0 {
+			ws = s.contPool[n-1]
+			s.contPool = s.contPool[:n-1]
+		}
+	}
+	//lint:ignore hpelint/hotalloc waiter slices recycle through contPool, so growth amortizes across accesses
+	w.Put(page, append(ws, c))
+	return ok
 }
 
 // finishWalk resolves a completed page-table walk.
@@ -521,9 +532,22 @@ func (s *Simulator) finishWalk(page addrspace.PageID) {
 		s.fillAndWake(page, conts)
 		return
 	}
-	// Far-fault: the waiting warps block until the driver maps the page.
-	//lint:ignore hpelint/hotalloc one continuation per far-fault; faults are the priced slow path, not the per-event path
-	s.driver.Fault(page, conts[0].seq, func() { s.fillAndWake(page, conts) })
+	// Far-fault: the waiting warps block, behind any already blocked on the
+	// page, until the driver maps it and calls wake.
+	for _, c := range conts {
+		s.await(&s.faultWaiters, page, c)
+	}
+	s.contPool = append(s.contPool, conts[:0])
+	s.driver.Fault(page, conts[0].seq)
+}
+
+// wake resumes every warp blocked on page's far-fault; the driver calls it
+// once the page is resident.
+func (s *Simulator) wake(page addrspace.PageID) {
+	if conts, ok := s.faultWaiters.Get(page); ok {
+		s.faultWaiters.Delete(page)
+		s.fillAndWake(page, conts)
+	}
 }
 
 // fillAndWake installs the translation, completes every merged access, and

@@ -1,6 +1,7 @@
 package hpe
 
 import (
+	"context"
 	"testing"
 	"testing/quick"
 
@@ -413,8 +414,8 @@ func TestHPEBeatsLRUOnThrashing(t *testing.T) {
 	}
 	tr := trace.New("thrash", refs)
 	capacity := 30 * 16
-	lru := policy.Replay(tr, policy.NewLRU(), capacity)
-	hpe := policy.Replay(tr, New(idealFeedConfig()), capacity)
+	lru := policy.Replay(context.Background(), tr, policy.NewLRU(), capacity, nil)
+	hpe := policy.Replay(context.Background(), tr, New(idealFeedConfig()), capacity, nil)
 	if lru.Faults != uint64(tr.Len()) {
 		t.Fatalf("LRU faults = %d, want total thrash %d", lru.Faults, tr.Len())
 	}
@@ -433,8 +434,8 @@ func TestHPEMatchesLRUOnStreaming(t *testing.T) {
 	}
 	tr := trace.New("stream", refs)
 	capacity := 45 * 16
-	lru := policy.Replay(tr, policy.NewLRU(), capacity)
-	hpe := policy.Replay(tr, New(idealFeedConfig()), capacity)
+	lru := policy.Replay(context.Background(), tr, policy.NewLRU(), capacity, nil)
+	hpe := policy.Replay(context.Background(), tr, New(idealFeedConfig()), capacity, nil)
 	if hpe.Faults != lru.Faults {
 		t.Fatalf("streaming: HPE %d faults vs LRU %d (both should be compulsory only)",
 			hpe.Faults, lru.Faults)
@@ -516,7 +517,7 @@ func BenchmarkHPEReplayThrashing(b *testing.B) {
 	tr := trace.New("bench", refs)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		policy.Replay(tr, New(idealFeedConfig()), 75*16)
+		policy.Replay(context.Background(), tr, New(idealFeedConfig()), 75*16, nil)
 	}
 }
 

@@ -1,6 +1,7 @@
 package hpe
 
 import (
+	"context"
 	"math/bits"
 	"math/rand"
 	"testing"
@@ -77,7 +78,7 @@ func TestHPEInvariantsUnderRandomReplay(t *testing.T) {
 		cfg.WrongEvictionThreshold = 4 + rng.Intn(16)
 		h := New(cfg)
 		capacity := 1 + sets*16*(40+rng.Intn(40))/100
-		res := policy.Replay(trace.New("rnd", refs), h, capacity)
+		res := policy.Replay(context.Background(), trace.New("rnd", refs), h, capacity, nil)
 		if res.Faults == 0 {
 			t.Fatalf("trial %d: no faults", trial)
 		}

@@ -1,6 +1,7 @@
 package policy
 
 import (
+	"context"
 	"testing"
 
 	"hpe/internal/addrspace"
@@ -54,8 +55,8 @@ func TestClockSlotReuse(t *testing.T) {
 func TestClockApproximatesLRU(t *testing.T) {
 	// On a cyclic pattern CLOCK thrashes exactly like LRU.
 	tr := cyclicTrace(20, 4)
-	clock := Replay(tr, NewClock(), 15)
-	lru := Replay(tr, NewLRU(), 15)
+	clock := Replay(context.Background(), tr, NewClock(), 15, nil)
+	lru := Replay(context.Background(), tr, NewLRU(), 15, nil)
 	if clock.Faults != lru.Faults {
 		t.Fatalf("CLOCK %d faults vs LRU %d on cyclic pattern", clock.Faults, lru.Faults)
 	}
@@ -143,7 +144,7 @@ func TestARCDirectoryBounded(t *testing.T) {
 	capacity := 32
 	a := NewARC(capacity)
 	tr := randomTrace(20000, 500, 5)
-	Replay(tr, a, capacity)
+	Replay(context.Background(), tr, a, capacity, nil)
 	t1, t2, b1, b2, p := a.Sizes()
 	if t1+t2 > capacity {
 		t.Fatalf("resident %d > capacity %d", t1+t2, capacity)
@@ -174,7 +175,7 @@ func TestExtensionPoliciesReplayInvariants(t *testing.T) {
 	tr := randomTrace(15000, 250, 77)
 	capacity := 100
 	for _, pol := range []Policy{NewClock(), NewNRU(), NewARC(capacity)} {
-		res := Replay(tr, pol, capacity)
+		res := Replay(context.Background(), tr, pol, capacity, nil)
 		if res.Hits+res.Faults != uint64(tr.Len()) {
 			t.Errorf("%s: hits+faults = %d, want %d", pol.Name(), res.Hits+res.Faults, tr.Len())
 		}
@@ -188,9 +189,9 @@ func TestExtensionPoliciesNeverBeatIdeal(t *testing.T) {
 	traces := []*trace.Trace{cyclicTrace(50, 5), randomTrace(20000, 200, 13)}
 	for _, tr := range traces {
 		capacity := tr.Footprint() * 3 / 4
-		ideal := Replay(tr, NewIdeal(trace.BuildFutureIndex(tr)), capacity)
+		ideal := Replay(context.Background(), tr, NewIdeal(trace.BuildFutureIndex(tr)), capacity, nil)
 		for _, pol := range []Policy{NewClock(), NewNRU(), NewARC(capacity)} {
-			got := Replay(tr, pol, capacity)
+			got := Replay(context.Background(), tr, pol, capacity, nil)
 			if got.Faults < ideal.Faults {
 				t.Errorf("%s: %s faulted %d < Ideal %d", tr.Name, pol.Name(), got.Faults, ideal.Faults)
 			}
@@ -216,8 +217,8 @@ func TestARCAdaptsOnMixedWorkload(t *testing.T) {
 	}
 	tr := trace.New("mixed", refs)
 	capacity := 40
-	arc := Replay(tr, NewARC(capacity), capacity)
-	lru := Replay(tr, NewLRU(), capacity)
+	arc := Replay(context.Background(), tr, NewARC(capacity), capacity, nil)
+	lru := Replay(context.Background(), tr, NewLRU(), capacity, nil)
 	if arc.Faults >= lru.Faults {
 		t.Fatalf("ARC %d faults >= LRU %d on loop+scan mix", arc.Faults, lru.Faults)
 	}
@@ -227,7 +228,7 @@ func BenchmarkReplayARC(b *testing.B) {
 	tr := randomTrace(100000, 2000, 1)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		Replay(tr, NewARC(1500), 1500)
+		Replay(context.Background(), tr, NewARC(1500), 1500, nil)
 	}
 }
 
@@ -281,11 +282,11 @@ func TestSetLRUTouchRefreshesWholeSet(t *testing.T) {
 func TestSetLRUReplayInvariants(t *testing.T) {
 	tr := randomTrace(15000, 400, 31)
 	capacity := 150
-	res := Replay(tr, NewSetLRUFactory(capacity), capacity)
+	res := Replay(context.Background(), tr, NewSetLRUFactory(capacity), capacity, nil)
 	if res.Hits+res.Faults != uint64(tr.Len()) {
 		t.Fatalf("hits+faults = %d", res.Hits+res.Faults)
 	}
-	ideal := Replay(tr, NewIdeal(trace.BuildFutureIndex(tr)), capacity)
+	ideal := Replay(context.Background(), tr, NewIdeal(trace.BuildFutureIndex(tr)), capacity, nil)
 	if res.Faults < ideal.Faults {
 		t.Fatal("SetLRU beat Belady")
 	}

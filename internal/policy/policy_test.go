@@ -1,6 +1,7 @@
 package policy
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -80,7 +81,7 @@ func TestLRUThrashesOnCyclicPattern(t *testing.T) {
 	// The canonical LRU pathology (paper Type II): k pages cycled with
 	// capacity k-1 faults on every reference after warmup.
 	tr := cyclicTrace(10, 5)
-	res := Replay(tr, NewLRU(), 9)
+	res := Replay(context.Background(), tr, NewLRU(), 9, nil)
 	if res.Faults != uint64(tr.Len()) {
 		t.Fatalf("LRU faults = %d, want %d (every ref)", res.Faults, tr.Len())
 	}
@@ -102,12 +103,12 @@ func TestFIFOIgnoresHits(t *testing.T) {
 
 func TestRandomDeterministicWithSeed(t *testing.T) {
 	tr := randomTrace(5000, 100, 1)
-	a := Replay(tr, NewRandom(7), 50)
-	b := Replay(tr, NewRandom(7), 50)
+	a := Replay(context.Background(), tr, NewRandom(7), 50, nil)
+	b := Replay(context.Background(), tr, NewRandom(7), 50, nil)
 	if a.Faults != b.Faults || a.Evictions != b.Evictions {
 		t.Fatalf("same seed diverged: %v vs %v", a, b)
 	}
-	c := Replay(tr, NewRandom(8), 50)
+	c := Replay(context.Background(), tr, NewRandom(8), 50, nil)
 	if a.Faults == c.Faults {
 		t.Log("different seeds produced identical fault counts (possible but unlikely)")
 	}
@@ -325,7 +326,7 @@ func TestClockProNonResidentBounded(t *testing.T) {
 	cap := 16
 	c := NewClockPro(cap, 4)
 	tr := randomTrace(20000, 400, 3)
-	Replay(tr, c, cap)
+	Replay(context.Background(), tr, c, cap, nil)
 	_, _, nonres := c.Counts()
 	if nonres > cap+1 {
 		t.Fatalf("non-resident metadata %d exceeds bound %d", nonres, cap)
@@ -345,7 +346,7 @@ func TestClockProSurvivesWorkloads(t *testing.T) {
 		{"single", trace.New("one", refs(1, 1, 1, 1, 1)), 4},
 	} {
 		c := NewClockPro(tc.cap, DefaultColdTarget)
-		res := Replay(tc.tr, c, tc.cap)
+		res := Replay(context.Background(), tc.tr, c, tc.cap, nil)
 		if res.Faults == 0 || res.Faults > uint64(tc.tr.Len()) {
 			t.Errorf("%s: faults = %d out of range", tc.name, res.Faults)
 		}
@@ -358,7 +359,7 @@ func TestIdealOnKnownString(t *testing.T) {
 	// Classic example: with capacity 3, MIN on a,b,c,d,a,b,e,a,b,c,d,e
 	// faults 7 times (a,b,c,d compulsory + e, c, d).
 	tr := trace.New("belady", refs(1, 2, 3, 4, 1, 2, 5, 1, 2, 3, 4, 5))
-	res := Replay(tr, NewIdeal(trace.BuildFutureIndex(tr)), 3)
+	res := Replay(context.Background(), tr, NewIdeal(trace.BuildFutureIndex(tr)), 3, nil)
 	if res.Faults != 7 {
 		t.Fatalf("Ideal faults = %d, want 7", res.Faults)
 	}
@@ -374,11 +375,11 @@ func TestIdealBeatsOrMatchesEveryPolicyOnEvictions(t *testing.T) {
 	}
 	for _, tr := range traces {
 		cap := tr.Footprint() * 3 / 4
-		ideal := Replay(tr, NewIdeal(trace.BuildFutureIndex(tr)), cap)
+		ideal := Replay(context.Background(), tr, NewIdeal(trace.BuildFutureIndex(tr)), cap, nil)
 		online := []Policy{NewLRU(), NewFIFO(), NewRandom(1), NewLFU(),
 			NewRRIP(DefaultRRIPConfig()), NewClockPro(cap, DefaultColdTarget)}
 		for _, p := range online {
-			got := Replay(tr, p, cap)
+			got := Replay(context.Background(), tr, p, cap, nil)
 			if got.Faults < ideal.Faults {
 				t.Errorf("%s: %s faulted %d < Ideal %d — MIN optimality violated",
 					tr.Name, p.Name(), got.Faults, ideal.Faults)
@@ -392,12 +393,12 @@ func TestIdealKeepsWorkingSetOnCyclicPattern(t *testing.T) {
 	// dramatically less than LRU's passes*k.
 	k, m, passes := 20, 15, 5
 	tr := cyclicTrace(k, passes)
-	res := Replay(tr, NewIdeal(trace.BuildFutureIndex(tr)), m)
+	res := Replay(context.Background(), tr, NewIdeal(trace.BuildFutureIndex(tr)), m, nil)
 	want := uint64(k + (passes-1)*(k-m))
 	if res.Faults != want {
 		t.Fatalf("Ideal faults = %d, want %d", res.Faults, want)
 	}
-	lru := Replay(tr, NewLRU(), m)
+	lru := Replay(context.Background(), tr, NewLRU(), m, nil)
 	if lru.Faults != uint64(k*passes) {
 		t.Fatalf("LRU faults = %d, want %d", lru.Faults, k*passes)
 	}
@@ -413,7 +414,7 @@ func TestReplayInvariants(t *testing.T) {
 		NewClockPro(cap, DefaultColdTarget),
 		NewIdeal(trace.BuildFutureIndex(tr))}
 	for _, p := range policies {
-		res := Replay(tr, p, cap)
+		res := Replay(context.Background(), tr, p, cap, nil)
 		if res.Hits+res.Faults != uint64(tr.Len()) {
 			t.Errorf("%s: hits+faults = %d, want %d", p.Name(), res.Hits+res.Faults, tr.Len())
 		}
@@ -433,14 +434,14 @@ func TestReplayBadCapacityPanics(t *testing.T) {
 			t.Error("Replay with capacity 0 did not panic")
 		}
 	}()
-	Replay(cyclicTrace(4, 1), NewLRU(), 0)
+	Replay(context.Background(), cyclicTrace(4, 1), NewLRU(), 0, nil)
 }
 
 func BenchmarkReplayLRU(b *testing.B) {
 	tr := randomTrace(100000, 2000, 1)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		Replay(tr, NewLRU(), 1500)
+		Replay(context.Background(), tr, NewLRU(), 1500, nil)
 	}
 }
 
@@ -449,7 +450,7 @@ func BenchmarkReplayIdeal(b *testing.B) {
 	fi := trace.BuildFutureIndex(tr)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		Replay(tr, NewIdeal(fi), 1500)
+		Replay(context.Background(), tr, NewIdeal(fi), 1500, nil)
 	}
 }
 
@@ -457,7 +458,7 @@ func BenchmarkReplayClockPro(b *testing.B) {
 	tr := randomTrace(100000, 2000, 1)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		Replay(tr, NewClockPro(1500, DefaultColdTarget), 1500)
+		Replay(context.Background(), tr, NewClockPro(1500, DefaultColdTarget), 1500, nil)
 	}
 }
 

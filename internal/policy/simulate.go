@@ -52,32 +52,22 @@ func (r ReplayResult) String() string {
 		r.Policy, r.Refs, r.Faults, r.Evictions, r.Hits)
 }
 
+// cancelPollRefs is how many references replay between context polls —
+// same rationale as the event engine's poll interval.
+const cancelPollRefs = 4096
+
 // Replay runs every reference of tr through the policy against a memory of
 // capacityPages, evicting on demand. Every reference is visible to the
 // policy (the paper's "ideal model" feed). The sequence number passed to the
 // policy is the trace position.
-func Replay(tr *trace.Trace, p Policy, capacityPages int) ReplayResult {
-	return ReplayProbed(tr, p, capacityPages, nil)
-}
-
-// ReplayProbed is Replay with an optional instrumentation probe. Replay is
-// timing-free, so events carry the trace position as their cycle (At =
-// sim.Cycle(seq)): inter-arrival histograms then measure reference distance
-// rather than simulated time. A nil probe keeps the exact Replay fast path.
-func ReplayProbed(tr *trace.Trace, p Policy, capacityPages int, pr probe.Probe) ReplayResult {
-	//lint:ignore hpelint/ctxflow context-free compatibility wrapper by design; callers needing cancellation use ReplayContext
-	return ReplayContext(context.Background(), tr, p, capacityPages, pr)
-}
-
-// cancelPollRefs is how many references replay between context polls in
-// ReplayContext — same rationale as the event engine's poll interval.
-const cancelPollRefs = 4096
-
-// ReplayContext is ReplayProbed tied to a context: the replay loop polls
-// ctx.Done() every cancelPollRefs references and stops early when it closes,
-// marking the result Cancelled. A never-cancellable context (Background)
-// keeps the exact unpolled fast path.
-func ReplayContext(ctx context.Context, tr *trace.Trace, p Policy, capacityPages int, pr probe.Probe) ReplayResult {
+//
+// pr is an optional instrumentation probe. Replay is timing-free, so events
+// carry the trace position as their cycle (At = sim.Cycle(seq)):
+// inter-arrival histograms then measure reference distance rather than
+// simulated time. The loop polls ctx.Done() every cancelPollRefs references
+// and stops early when it closes, marking the result Cancelled. A nil probe
+// and a never-cancellable context (Background) keep the exact fast path.
+func Replay(ctx context.Context, tr *trace.Trace, p Policy, capacityPages int, pr probe.Probe) ReplayResult {
 	if capacityPages <= 0 {
 		panic(fmt.Sprintf("policy: Replay capacity %d must be positive", capacityPages))
 	}

@@ -1,6 +1,7 @@
 package registry
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -133,7 +134,7 @@ func TestRandomSeedDeterminism(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return policy.Replay(tinyTrace(), pol, 4).Evictions
+		return policy.Replay(context.Background(), tinyTrace(), pol, 4, nil).Evictions
 	}
 	if run(1) != run(1) {
 		t.Error("same seed, different replay")

@@ -8,7 +8,6 @@ import (
 	"io"
 	"math"
 	"net/http"
-	"sync"
 	"time"
 
 	"hpe"
@@ -54,14 +53,7 @@ type local struct {
 	queueDepth int
 	adm        *admission
 	met        *serverMetrics
-
-	traceMu sync.Mutex
-	traces  map[string]*traceEntry // guarded by traceMu
-}
-
-type traceEntry struct {
-	once sync.Once
-	tr   *hpe.Trace
+	traces     *traceCache
 }
 
 func newLocal(cfg Config) *local {
@@ -70,7 +62,7 @@ func newLocal(cfg Config) *local {
 		queueDepth: cfg.QueueDepth,
 		adm:        newAdmission(cfg.Workers, cfg.QueueDepth),
 		met:        newServerMetrics(),
-		traces:     make(map[string]*traceEntry),
+		traces:     newTraceCache(),
 	}
 }
 
@@ -95,7 +87,7 @@ func (l *local) admitted(ctx context.Context, id string, suite bool, run func() 
 
 // Run executes one canonicalized run spec under ctx and renders its
 // response body. The spec → (config, trace, policy) materialization lives in
-// runspec; the server only contributes its long-lived trace cache and its
+// runspec; the server only contributes its byte-bounded trace cache and its
 // metrics probe. Cancelled (partial) results are reported as errors and never
 // rendered or cached.
 func (l *local) Run(ctx context.Context, sp runspec.Spec, id string) ([]byte, error) {
@@ -103,7 +95,7 @@ func (l *local) Run(ctx context.Context, sp runspec.Spec, id string) ([]byte, er
 		res, err := hpe.Run(sp,
 			hpe.WithContext(ctx),
 			hpe.WithProbe(hpe.NewMetricsProbe()),
-			hpe.WithRunEnv(hpe.RunEnv{Trace: l.trace}))
+			hpe.WithRunEnv(hpe.RunEnv{Trace: l.traces.get}))
 		if err != nil {
 			return nil, err
 		}
@@ -143,26 +135,6 @@ func (l *local) Suite(ctx context.Context, req SuiteRequest, id string, hint int
 		}
 		return RenderSuiteBody(id, req, reports)
 	})
-}
-
-// trace returns the app's canonical trace, generated once per server
-// lifetime (traces are deterministic and immutable once the lazy footprint
-// is primed). Scaled variants of an app get their own entries.
-func (l *local) trace(app hpe.App) *hpe.Trace {
-	key := fmt.Sprintf("%s/%d", app.Abbr, app.Sets)
-	l.traceMu.Lock()
-	e, ok := l.traces[key]
-	if !ok {
-		e = &traceEntry{}
-		l.traces[key] = e
-	}
-	l.traceMu.Unlock()
-	e.once.Do(func() {
-		tr := app.Generate()
-		tr.Footprint()
-		e.tr = tr
-	})
-	return e.tr
 }
 
 func (*local) Source() string { return "simulate" }

@@ -7,9 +7,10 @@ import "testing"
 // stopped on further Step calls.
 func TestCancelStopsEngine(t *testing.T) {
 	e := NewEngine()
+	th := newThunks(e)
 	var fired int
 	for i := 0; i < 100; i++ {
-		e.At(Cycle(i), func() { fired++ })
+		th.at(Cycle(i), func() { fired++ })
 	}
 	polls := 0
 	e.SetCancel(10, func() bool {
@@ -38,8 +39,9 @@ func TestCancelStopsEngine(t *testing.T) {
 func TestCancelNeverTripsIsFree(t *testing.T) {
 	run := func(poll bool) (Cycle, uint64) {
 		e := NewEngine()
+		th := newThunks(e)
 		for i := 0; i < 1000; i++ {
-			e.At(Cycle(i*3), func() {})
+			th.at(Cycle(i*3), func() {})
 		}
 		if poll {
 			e.SetCancel(7, func() bool { return false })
@@ -56,10 +58,11 @@ func TestCancelNeverTripsIsFree(t *testing.T) {
 // TestSetCancelClears verifies a nil poll removes the hook.
 func TestSetCancelClears(t *testing.T) {
 	e := NewEngine()
+	th := newThunks(e)
 	e.SetCancel(1, func() bool { return true })
 	e.SetCancel(0, nil)
 	done := false
-	e.At(0, func() { done = true })
+	th.at(0, func() { done = true })
 	e.Run()
 	if !done || e.Cancelled() {
 		t.Fatal("cleared cancel hook still active")

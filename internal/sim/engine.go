@@ -13,13 +13,12 @@
 // heap of all-scalar heapNode values — timestamp, FIFO sequence, and the two
 // payload words inline — so heap sifts never chase pointers, never trigger
 // write barriers, and the whole queue is invisible to the garbage collector.
-// Hot callers register a Handler once (Register) and then schedule by
-// HandlerID with two integer payload words (Schedule/ScheduleAfter): zero
-// allocations per event. The closure API (At/After) remains for cold paths;
-// closures park in a side store of index-based slots reused through a free
-// list. The clock always skips directly to the next scheduled event's
-// timestamp — there is no per-cycle ticking anywhere in the engine. The
-// previous container/heap implementation survives as Reference, the
+// Scheduling has one API: a component registers a Handler once (Register)
+// and then schedules by HandlerID with two integer payload words
+// (Schedule/ScheduleAfter), so no event allocates. The clock always skips
+// directly to the next scheduled event's timestamp — there is no per-cycle
+// ticking anywhere in the engine. The previous container/heap
+// implementation, with its closure At/After, survives as Reference, the
 // differential-testing oracle (FuzzEngineEquivalence) and the
 // bench-trajectory baseline (`make bench-json`).
 package sim
@@ -48,14 +47,13 @@ type Handler interface {
 type HandlerID int32
 
 // heapNode is one 4-ary-heap element: the ordering key (at, seq) with the
-// payload inline. kind >= 0 indexes the registered-handler table; kind < 0
-// encodes a closure slot as -(slot+1). All fields are scalars, so the heap
-// needs no write barriers and is never scanned by the GC.
+// payload inline and the HandlerID to deliver it to. All fields are scalars,
+// so the heap needs no write barriers and is never scanned by the GC.
 type heapNode struct {
 	at     Cycle
 	seq    uint64
 	a0, a1 uint64
-	kind   int32
+	h      HandlerID
 }
 
 // Engine is a discrete-event simulator. The zero value is not usable;
@@ -65,8 +63,6 @@ type Engine struct {
 	nextSeq  uint64
 	heap     []heapNode // 4-ary min-heap ordered by (at, seq)
 	handlers []Handler  // Register'd, indexed by HandlerID
-	fns      []func()   // closure payloads (At/After), indexed by slot
-	fnFree   []int32    // recycled closure slots
 	fired    uint64
 	limit    Cycle // 0 means no limit
 
@@ -130,8 +126,10 @@ func (e *Engine) Register(h Handler) HandlerID {
 	return HandlerID(len(e.handlers) - 1)
 }
 
-// push appends an ordering node and restores the heap.
-func (e *Engine) push(at Cycle, a0, a1 uint64, kind int32) {
+// Schedule enqueues an event for a registered handler at the given absolute
+// cycle with two payload words. Scheduling in the past (before Now) is an
+// error and panics: it would silently reorder causality.
+func (e *Engine) Schedule(at Cycle, h HandlerID, a0, a1 uint64) {
 	if at < e.now {
 		panic(fmt.Sprintf("sim: scheduling event at cycle %d before now (%d)", at, e.now))
 	}
@@ -149,7 +147,7 @@ func (e *Engine) push(at Cycle, a0, a1 uint64, kind int32) {
 		copy(grown, e.heap)
 		e.heap = grown
 	}
-	e.heap = append(e.heap, heapNode{at: at, seq: e.nextSeq, a0: a0, a1: a1, kind: kind})
+	e.heap = append(e.heap, heapNode{at: at, seq: e.nextSeq, a0: a0, a1: a1, h: h})
 	e.nextSeq++
 	e.siftUp(len(e.heap) - 1)
 }
@@ -219,38 +217,9 @@ func (e *Engine) siftDown() {
 	h[i] = n
 }
 
-// At schedules fn to run at the given absolute cycle. Scheduling in the past
-// (before Now) is an error and panics: it would silently reorder causality.
-func (e *Engine) At(at Cycle, fn func()) {
-	if at < e.now {
-		panic(fmt.Sprintf("sim: scheduling event at cycle %d before now (%d)", at, e.now))
-	}
-	var slot int32
-	if n := len(e.fnFree); n > 0 {
-		slot = e.fnFree[n-1]
-		e.fnFree = e.fnFree[:n-1]
-	} else {
-		e.fns = append(e.fns, nil)
-		slot = int32(len(e.fns) - 1)
-	}
-	e.fns[slot] = fn
-	e.push(at, 0, 0, -(slot + 1))
-}
-
-// After schedules fn to run delay cycles from now.
-func (e *Engine) After(delay Cycle, fn func()) {
-	e.At(e.now+delay, fn)
-}
-
-// Schedule enqueues an event for a registered handler at the given absolute
-// cycle with two payload words. It is the allocation-free analogue of At.
-func (e *Engine) Schedule(at Cycle, h HandlerID, a0, a1 uint64) {
-	e.push(at, a0, a1, int32(h))
-}
-
 // ScheduleAfter enqueues a handler event delay cycles from now.
 func (e *Engine) ScheduleAfter(delay Cycle, h HandlerID, a0, a1 uint64) {
-	e.push(e.now+delay, a0, a1, int32(h))
+	e.Schedule(e.now+delay, h, a0, a1)
 }
 
 // Step fires the next event, advancing the clock directly to its timestamp
@@ -284,15 +253,7 @@ func (e *Engine) Step() bool {
 	}
 	e.now = next.at
 	e.fired++
-	if next.kind >= 0 {
-		e.handlers[next.kind].OnEvent(next.a0, next.a1)
-	} else {
-		slot := -next.kind - 1
-		fn := e.fns[slot]
-		e.fns[slot] = nil // drop the closure ref before slot reuse
-		e.fnFree = append(e.fnFree, slot)
-		fn()
-	}
+	e.handlers[next.h].OnEvent(next.a0, next.a1)
 	return true
 }
 

@@ -7,12 +7,39 @@ import (
 	"testing/quick"
 )
 
+// thunks is the tests' registered handler: a0 indexes the closure to run, so
+// a test can write its schedule inline while the engine sees only handler
+// events.
+type thunks struct {
+	e   *Engine
+	id  HandlerID
+	fns []func()
+}
+
+func newThunks(e *Engine) *thunks {
+	t := &thunks{e: e}
+	t.id = e.Register(t)
+	return t
+}
+
+func (t *thunks) OnEvent(a0, _ uint64) { t.fns[a0]() }
+
+// at schedules fn at an absolute cycle.
+func (t *thunks) at(at Cycle, fn func()) {
+	t.fns = append(t.fns, fn)
+	t.e.Schedule(at, t.id, uint64(len(t.fns)-1), 0)
+}
+
+// after schedules fn delay cycles from now.
+func (t *thunks) after(delay Cycle, fn func()) { t.at(t.e.Now()+delay, fn) }
+
 func TestEngineFiresInTimeOrder(t *testing.T) {
 	e := NewEngine()
+	th := newThunks(e)
 	var got []Cycle
 	for _, at := range []Cycle{50, 10, 30, 20, 40} {
 		at := at
-		e.At(at, func() { got = append(got, at) })
+		th.at(at, func() { got = append(got, at) })
 	}
 	end := e.Run()
 	if end != 50 {
@@ -28,10 +55,11 @@ func TestEngineFiresInTimeOrder(t *testing.T) {
 
 func TestEngineSameCycleFIFO(t *testing.T) {
 	e := NewEngine()
+	th := newThunks(e)
 	var got []int
 	for i := 0; i < 10; i++ {
 		i := i
-		e.At(100, func() { got = append(got, i) })
+		th.at(100, func() { got = append(got, i) })
 	}
 	e.Run()
 	for i := range got {
@@ -43,9 +71,10 @@ func TestEngineSameCycleFIFO(t *testing.T) {
 
 func TestEngineAfterSchedulesRelative(t *testing.T) {
 	e := NewEngine()
+	th := newThunks(e)
 	var at Cycle
-	e.At(7, func() {
-		e.After(5, func() { at = e.Now() })
+	th.at(7, func() {
+		th.after(5, func() { at = e.Now() })
 	})
 	e.Run()
 	if at != 12 {
@@ -55,28 +84,30 @@ func TestEngineAfterSchedulesRelative(t *testing.T) {
 
 func TestEngineSchedulingInPastPanics(t *testing.T) {
 	e := NewEngine()
-	e.At(10, func() {
+	th := newThunks(e)
+	th.at(10, func() {
 		defer func() {
 			if recover() == nil {
 				t.Error("scheduling in the past did not panic")
 			}
 		}()
-		e.At(5, func() {})
+		th.at(5, func() {})
 	})
 	e.Run()
 }
 
 func TestEngineCascadedEvents(t *testing.T) {
 	e := NewEngine()
+	th := newThunks(e)
 	count := 0
 	var schedule func()
 	schedule = func() {
 		count++
 		if count < 100 {
-			e.After(3, schedule)
+			th.after(3, schedule)
 		}
 	}
-	e.At(0, schedule)
+	th.at(0, schedule)
 	end := e.Run()
 	if count != 100 {
 		t.Fatalf("fired %d cascaded events, want 100", count)
@@ -91,9 +122,10 @@ func TestEngineCascadedEvents(t *testing.T) {
 
 func TestEngineLimitStopsRun(t *testing.T) {
 	e := NewEngine()
+	th := newThunks(e)
 	fired := 0
 	for i := Cycle(0); i < 10; i++ {
-		e.At(i*10, func() { fired++ })
+		th.at(i*10, func() { fired++ })
 	}
 	e.SetLimit(45)
 	e.Run()
@@ -112,7 +144,8 @@ func TestEngineLimitStopsRun(t *testing.T) {
 
 func TestEngineRunUntilAdvancesClock(t *testing.T) {
 	e := NewEngine()
-	e.At(10, func() {})
+	th := newThunks(e)
+	th.at(10, func() {})
 	e.RunUntil(100)
 	if e.Now() != 100 {
 		t.Fatalf("RunUntil(100) left clock at %d", e.Now())
@@ -124,8 +157,9 @@ func TestEngineRunUntilAdvancesClock(t *testing.T) {
 
 func TestEngineRunUntilLeavesLaterEvents(t *testing.T) {
 	e := NewEngine()
+	th := newThunks(e)
 	fired := false
-	e.At(200, func() { fired = true })
+	th.at(200, func() { fired = true })
 	e.RunUntil(100)
 	if fired {
 		t.Fatal("event at 200 fired during RunUntil(100)")
@@ -150,10 +184,11 @@ func TestCyclesPerMicrosecond(t *testing.T) {
 func TestEngineOrderingProperty(t *testing.T) {
 	f := func(times []uint16) bool {
 		e := NewEngine()
+		th := newThunks(e)
 		var fired []Cycle
 		for _, ti := range times {
 			at := Cycle(ti)
-			e.At(at, func() { fired = append(fired, at) })
+			th.at(at, func() { fired = append(fired, at) })
 		}
 		e.Run()
 		if len(fired) != len(times) {
@@ -174,20 +209,21 @@ func TestEngineConservationProperty(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	for trial := 0; trial < 20; trial++ {
 		e := NewEngine()
+		th := newThunks(e)
 		scheduled, fired := 0, 0
 		var cascade func(depth int)
 		cascade = func(depth int) {
 			fired++
 			if depth > 0 {
 				scheduled++
-				e.After(Cycle(rng.Intn(5)), func() { cascade(depth - 1) })
+				th.after(Cycle(rng.Intn(5)), func() { cascade(depth - 1) })
 			}
 		}
 		n := 1 + rng.Intn(50)
 		for i := 0; i < n; i++ {
 			scheduled++
 			d := rng.Intn(4)
-			e.At(Cycle(rng.Intn(1000)), func() { cascade(d) })
+			th.at(Cycle(rng.Intn(1000)), func() { cascade(d) })
 		}
 		e.Run()
 		if fired != scheduled {

@@ -5,11 +5,10 @@ import (
 )
 
 // scheduler is the surface FuzzEngineEquivalence drives on both
-// implementations. Engine and Reference both satisfy it; the Handler path
-// (Engine.Schedule) is exercised through the closure-equivalent op below.
+// implementations. Engine and Reference both satisfy it; how an event is
+// scheduled differs (handlers on Engine, closures on Reference), so
+// runProgram takes that as a parameter.
 type scheduler interface {
-	At(Cycle, func())
-	After(Cycle, func())
 	Step() bool
 	Run() Cycle
 	RunUntil(Cycle)
@@ -49,11 +48,11 @@ func (h *fuzzLogHandler) OnEvent(a0, _ uint64) {
 }
 
 // runProgram executes the decoded program on one engine. schedule is how a
-// plain logging event is enqueued (closure for Reference, Handler for
-// Engine), so the same program exercises both dispatch paths. It returns the
-// fire log (event id ++ low clock bits) and the number of cancellation
-// polls.
-func runProgram(s scheduler, ops []fuzzOp, schedule func(at Cycle, id uint64, log *[]uint64)) ([]uint64, int) {
+// plain logging event is enqueued and at how a cascade event is (closures
+// for Reference, Handlers for Engine), so the same program exercises both
+// implementations. It returns the fire log (event id ++ low clock bits) and
+// the number of cancellation polls.
+func runProgram(s scheduler, ops []fuzzOp, schedule func(at Cycle, id uint64, log *[]uint64), at func(Cycle, func())) ([]uint64, int) {
 	var log []uint64
 	nextID := uint64(1)
 	budget := 512
@@ -72,7 +71,7 @@ func runProgram(s scheduler, ops []fuzzOp, schedule func(at Cycle, id uint64, lo
 		switch op.kind {
 		case 0, 1:
 			emit(s.Now() + d)
-		case 2: // cascade: the fired closure schedules a follow-up
+		case 2: // cascade: the fired event schedules a follow-up
 			if budget <= 0 {
 				break
 			}
@@ -80,7 +79,7 @@ func runProgram(s scheduler, ops []fuzzOp, schedule func(at Cycle, id uint64, lo
 			id := nextID
 			nextID++
 			delay := Cycle(op.param%16 + 1)
-			s.At(s.Now()+d, func() {
+			at(s.Now()+d, func() {
 				log = append(log, id<<16|uint64(s.Now())&0xffff)
 				emit(s.Now() + delay)
 			})
@@ -115,8 +114,8 @@ func runProgram(s scheduler, ops []fuzzOp, schedule func(at Cycle, id uint64, lo
 }
 
 // FuzzEngineEquivalence drives the struct-of-arrays Engine and the
-// container/heap Reference with the same randomized schedule — At/After,
-// Handler events, cascades, SetLimit, RunUntil, partial Steps, and
+// container/heap Reference with the same randomized schedule — plain and
+// cascading events, SetLimit, RunUntil, partial Steps, and
 // cancellation at random event boundaries — and requires identical fire
 // order, clocks, fired counts, pending counts, poll counts and cancellation
 // status. This is the differential proof that the hot-path rewrite preserved
@@ -136,17 +135,18 @@ func FuzzEngineEquivalence(f *testing.F) {
 		eng := NewEngine()
 		h := &fuzzLogHandler{eng: eng}
 		hid := eng.Register(h)
+		th := newThunks(eng)
 		engLog, engPolls := runProgram(eng, ops, func(at Cycle, id uint64, log *[]uint64) {
 			h.log = log // same backing log for every call within a run
 			eng.Schedule(at, hid, id, 0)
-		})
+		}, th.at)
 
 		ref := NewReference()
 		refLog, refPolls := runProgram(ref, ops, func(at Cycle, id uint64, log *[]uint64) {
 			ref.At(at, func() {
 				*log = append(*log, id<<16|uint64(ref.Now())&0xffff)
 			})
-		})
+		}, ref.At)
 
 		if len(engLog) != len(refLog) {
 			t.Fatalf("fire counts diverge: engine %d, reference %d", len(engLog), len(refLog))

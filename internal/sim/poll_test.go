@@ -12,9 +12,10 @@ import (
 // the poll — and could even cancel — without firing anything.
 func TestStepAtLimitConsumesNoPollTicks(t *testing.T) {
 	e := NewEngine()
+	th := newThunks(e)
 	fired := 0
 	for i := 0; i < 10; i++ {
-		e.At(Cycle(i*10), func() { fired++ })
+		th.at(Cycle(i*10), func() { fired++ })
 	}
 	polls := 0
 	e.SetCancel(4, func() bool {
@@ -59,7 +60,8 @@ func TestStepAtLimitConsumesNoPollTicks(t *testing.T) {
 // the limit case.
 func TestStepOnDrainedQueueConsumesNoPollTicks(t *testing.T) {
 	e := NewEngine()
-	e.At(0, func() {})
+	th := newThunks(e)
+	th.at(0, func() {})
 	polls := 0
 	e.SetCancel(1, func() bool { polls++; return false })
 	e.Run()
@@ -74,8 +76,8 @@ func TestStepOnDrainedQueueConsumesNoPollTicks(t *testing.T) {
 	}
 }
 
-// TestRaceParallelEngines runs independent engines (closure and Handler
-// paths) on concurrent goroutines. Engines are documented single-threaded
+// TestRaceParallelEngines runs independent engines (two registered handlers
+// each) on concurrent goroutines. Engines are documented single-threaded
 // per run but must share no hidden global state — a regression here (for
 // example a package-level slot pool) would corrupt parallel suite sweeps.
 // The name matches the `make race-probe` pattern so it runs under -race.
@@ -86,13 +88,14 @@ func TestRaceParallelEngines(t *testing.T) {
 		go func(seed int) {
 			defer wg.Done()
 			e := NewEngine()
+			th := newThunks(e)
 			count := 0
 			hid := e.Register(handlerFunc(func(a0, a1 uint64) { count++ }))
 			for i := 0; i < 2000; i++ {
 				if i%2 == 0 {
 					e.Schedule(Cycle((i*7+seed)%997), hid, uint64(i), 0)
 				} else {
-					e.At(Cycle((i*7+seed)%997), func() { count++ })
+					th.at(Cycle((i*7+seed)%997), func() { count++ })
 				}
 			}
 			e.Run()

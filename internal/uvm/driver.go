@@ -118,9 +118,8 @@ type pendingFault struct {
 	page      addrspace.PageID
 	seq       int
 	enq       sim.Cycle // enqueue time, for fault-latency events
-	wakeups   []func()
-	inService bool // dispatched to a channel
-	done      bool // resolved early by a block prefetch
+	inService bool      // dispatched to a channel
+	done      bool      // resolved early by a block prefetch
 }
 
 // serviceDoneEvent fires when a channel finishes servicing a fault:
@@ -133,6 +132,23 @@ func (e *serviceDoneEvent) OnEvent(a0, _ uint64) {
 	(*Driver)(e).complete(int32(a0))
 }
 
+// drainDoneEvent fires when an HIR drain's PCIe transfer lands: a0 = index
+// into Driver.drains. It hands the drained records to the sink and frees the
+// channel the transfer occupied.
+type drainDoneEvent Driver
+
+func (e *drainDoneEvent) OnEvent(a0, _ uint64) {
+	d := (*Driver)(e)
+	recs := d.drains[a0]
+	d.drains[a0] = nil
+	d.drainFree = append(d.drainFree, int32(a0))
+	if d.sink != nil {
+		d.sink.OnHitBatch(recs)
+	}
+	d.busy--
+	d.pump()
+}
+
 // Driver is the host-side UVM runtime.
 type Driver struct {
 	cfg    Config
@@ -143,20 +159,24 @@ type Driver struct {
 	sink   HitBatchReceiver
 
 	// invalidate is called for every evicted page so the GPU can shoot down
-	// stale TLB entries.
-	invalidate func(addrspace.PageID)
+	// stale TLB entries; resident is called once for every faulted page the
+	// driver maps, so the GPU can wake the warps blocked on it.
+	invalidate, resident func(addrspace.PageID)
 
 	// Faults live in a slice-backed store with a free list; the queue and
-	// the in-flight index refer to them by index. This keeps fault-heavy
-	// runs from allocating one node per fault and gives the GC nothing to
-	// chase once wakeup closures are recycled through wakePool.
+	// the in-flight index refer to them by index, so fault-heavy runs
+	// allocate no node per fault and the store holds no pointers.
 	faults    []pendingFault
 	faultFree []int32
-	queue     []int32                                  // waiting, FIFO
+	queue     []int32                                  // waiting, FIFO from qHead
+	qHead     int                                      // next queue index to dispatch
 	inFlight  addrspace.Table[addrspace.PageID, int32] // waiting + in service
-	wakePool  [][]func()                               // recycled wakeup slices
-	hDone     sim.HandlerID                            // serviceDoneEvent registration
 	busy      int                                      // channels in use
+
+	drains    [][]hir.Record // HIR drains in flight over PCIe (Channels may overlap them)
+	drainFree []int32
+
+	hDone, hDrain sim.HandlerID // serviceDoneEvent, drainDoneEvent
 
 	probe probe.Probe // nil unless instrumented
 	stats Stats
@@ -167,16 +187,20 @@ type Driver struct {
 	tenants []trace.TenantRange
 }
 
-// New wires a driver. invalidate may be nil (no TLB shootdown — used by
-// unit tests). If the policy implements HitBatchReceiver and hirCache is
-// non-nil, drains are delivered to it.
+// New wires a driver. invalidate runs for every evicted page and resident
+// for every faulted page once it is mapped; either may be nil (unit tests).
+// If the policy implements HitBatchReceiver and hirCache is non-nil, drains
+// are delivered to it.
 func New(cfg Config, engine *sim.Engine, memory *mem.DeviceMemory, pol policy.Policy,
-	hirCache *hir.Cache, invalidate func(addrspace.PageID)) *Driver {
+	hirCache *hir.Cache, invalidate, resident func(addrspace.PageID)) *Driver {
 	if cfg.FaultLatency == 0 {
 		panic("uvm: zero fault latency")
 	}
 	if cfg.Channels <= 0 {
 		cfg.Channels = 1
+	}
+	if resident == nil {
+		resident = func(addrspace.PageID) {}
 	}
 	d := &Driver{
 		cfg:        cfg,
@@ -185,8 +209,10 @@ func New(cfg Config, engine *sim.Engine, memory *mem.DeviceMemory, pol policy.Po
 		pol:        pol,
 		hirC:       hirCache,
 		invalidate: invalidate,
+		resident:   resident,
 	}
 	d.hDone = engine.Register((*serviceDoneEvent)(d))
+	d.hDrain = engine.Register((*drainDoneEvent)(d))
 	if sink, ok := pol.(HitBatchReceiver); ok {
 		d.sink = sink
 	}
@@ -265,7 +291,7 @@ func (d *Driver) Stats() Stats {
 }
 
 // Pending returns the number of queued (not yet in service) faults.
-func (d *Driver) Pending() int { return len(d.queue) }
+func (d *Driver) Pending() int { return len(d.queue) - d.qHead }
 
 // RecordWalkHit forwards a page-walk hit to the policy (the baselines' ideal
 // feed and HPE's IdealHitFeed mode) and to the HIR cache when present.
@@ -276,18 +302,16 @@ func (d *Driver) RecordWalkHit(p addrspace.PageID, seq int) {
 	}
 }
 
-// Fault reports a far-fault on page p observed at trace position seq; wake
-// runs when the page becomes resident. Duplicate faults coalesce onto the
-// in-flight or queued fault for the same page.
-func (d *Driver) Fault(p addrspace.PageID, seq int, wake func()) {
+// Fault reports a far-fault on page p observed at trace position seq; the
+// resident callback runs for p once it is mapped. Duplicate faults coalesce
+// onto the in-flight or queued fault for the same page.
+func (d *Driver) Fault(p addrspace.PageID, seq int) {
 	if d.memory.Resident(p) {
 		// Raced with a completion: the page is already here.
-		wake()
+		d.resident(p)
 		return
 	}
-	if fi, ok := d.inFlight.Get(p); ok {
-		f := &d.faults[fi]
-		f.wakeups = append(f.wakeups, wake)
+	if d.inFlight.Has(p) {
 		d.stats.Coalesced++
 		if d.probe != nil {
 			d.probe.Emit(probe.Coalesce(d.engine.Now(), p, seq))
@@ -296,14 +320,19 @@ func (d *Driver) Fault(p addrspace.PageID, seq int, wake func()) {
 	}
 	fi := d.allocFault()
 	f := &d.faults[fi]
-	*f = pendingFault{page: p, seq: seq, enq: d.engine.Now(), wakeups: d.allocWakeups(wake)}
+	*f = pendingFault{page: p, seq: seq, enq: d.engine.Now()}
+	if len(d.queue) == cap(d.queue) && d.qHead >= len(d.queue)/2 {
+		// Reuse the array: slide the waiting tail over the dispatched prefix.
+		d.queue, d.qHead = d.queue[:copy(d.queue, d.queue[d.qHead:])], 0
+	}
 	d.queue = append(d.queue, fi)
 	d.inFlight.Put(p, fi)
-	if len(d.queue) > d.stats.MaxQueueDepth {
-		d.stats.MaxQueueDepth = len(d.queue)
+	depth := d.Pending()
+	if depth > d.stats.MaxQueueDepth {
+		d.stats.MaxQueueDepth = depth
 	}
 	if d.probe != nil {
-		d.probe.Emit(probe.FaultBegin(f.enq, p, seq, len(d.queue)))
+		d.probe.Emit(probe.FaultBegin(f.enq, p, seq, depth))
 	}
 	d.pump()
 }
@@ -319,36 +348,18 @@ func (d *Driver) allocFault() int32 {
 	return int32(len(d.faults) - 1)
 }
 
-// allocWakeups returns a recycled wakeup slice seeded with wake.
-func (d *Driver) allocWakeups(wake func()) []func() {
-	if n := len(d.wakePool); n > 0 {
-		ws := d.wakePool[n-1]
-		d.wakePool = d.wakePool[:n-1]
-		//lint:ignore hpelint/hotalloc wakeup slices recycle through wakePool, so growth amortizes across faults
-		return append(ws, wake)
-	}
-	//lint:ignore hpelint/hotalloc pool-miss seed only; subsequent faults reuse the slice via wakePool
-	return append(make([]func(), 0, 4), wake)
-}
-
-// runWakeups fires and recycles a fault's wakeup slice.
-func (d *Driver) runWakeups(ws []func()) {
-	for i, wake := range ws {
-		ws[i] = nil // drop closure refs before pooling
-		wake()
-	}
-	d.wakePool = append(d.wakePool, ws[:0])
-}
-
 // pump dispatches queued faults onto free channels.
 func (d *Driver) pump() {
 	frac := d.cfg.HostBusyFraction
 	if frac <= 0 || frac > 1 {
 		frac = 1
 	}
-	for d.busy < d.cfg.Channels && len(d.queue) > 0 {
-		fi := d.queue[0]
-		d.queue = d.queue[1:]
+	for d.busy < d.cfg.Channels && d.qHead < len(d.queue) {
+		fi := d.queue[d.qHead]
+		d.qHead++
+		if d.qHead == len(d.queue) {
+			d.queue, d.qHead = d.queue[:0], 0
+		}
 		f := &d.faults[fi]
 		if f.done {
 			d.faultFree = append(d.faultFree, fi) // resolved early by a block prefetch
@@ -402,9 +413,7 @@ func (d *Driver) prefetch(page addrspace.PageID, seq int) {
 				now := d.engine.Now()
 				d.probe.Emit(probe.FaultEnd(now, p, f.seq, now-f.enq, true))
 			}
-			ws := f.wakeups
-			f.wakeups = nil
-			d.runWakeups(ws)
+			d.resident(p)
 			brought++
 			continue
 		}
@@ -449,8 +458,8 @@ func (d *Driver) evictIfFull(trigger addrspace.PageID) bool {
 }
 
 // complete finishes one fault: evict if full, map the page, notify the
-// policy, wake the waiting warps, handle the periodic HIR drain, then free
-// the channel.
+// policy, wake the waiting warps, then either start the periodic HIR drain
+// on this channel or free it.
 func (d *Driver) complete(fi int32) {
 	f := &d.faults[fi]
 	d.pol.OnFault(f.page, f.seq)
@@ -471,48 +480,41 @@ func (d *Driver) complete(fi int32) {
 		d.probe.Emit(probe.FaultEnd(now, f.page, f.seq, now-f.enq, false))
 	}
 
-	// Copy out before prefetch/wakeups: both may allocate new faults and
-	// grow the store, invalidating f.
+	// Copy out before prefetch: it may allocate new faults and grow the
+	// store, invalidating f.
 	page, seq := f.page, f.seq
-	ws := f.wakeups
-	f.wakeups = nil
 	d.faultFree = append(d.faultFree, fi)
 
 	d.prefetch(page, seq)
 
-	d.runWakeups(ws)
+	d.resident(page)
 
 	// Periodic HIR drain: every TransferInterval-th serviced fault the HIR
-	// contents cross PCIe; the transfer occupies this channel before it can
-	// take the next fault.
-	var transfer sim.Cycle
+	// contents cross PCIe; the transfer occupies this channel until
+	// drainDoneEvent delivers the records and frees it.
 	if d.hirC != nil && d.cfg.TransferInterval > 0 &&
 		d.stats.FaultsServiced%uint64(d.cfg.TransferInterval) == 0 {
-		recs := d.hirC.Drain()
-		if len(recs) > 0 {
+		if recs := d.hirC.Drain(); len(recs) > 0 {
 			bytes := d.hirC.TransferBytes(len(recs))
 			d.stats.HIRTransferBytes += uint64(bytes)
-			transfer = sim.Cycle(math.Ceil(float64(bytes) / d.cfg.PCIeBytesPerCycle))
+			transfer := sim.Cycle(math.Ceil(float64(bytes) / d.cfg.PCIeBytesPerCycle))
 			d.stats.HIRTransferCycles += transfer
 			d.stats.BusyCycles += transfer
 			if d.probe != nil {
 				d.probe.Emit(probe.HIRDrain(d.engine.Now(), len(recs), bytes, transfer))
 			}
-			if d.sink != nil {
-				sink := d.sink
-				//lint:ignore hpelint/hotalloc one closure per HIR drain epoch (every TransferInterval faults), not per event
-				d.engine.After(transfer, func() { sink.OnHitBatch(recs) })
+			var slot int32
+			if n := len(d.drainFree); n > 0 {
+				slot = d.drainFree[n-1]
+				d.drainFree = d.drainFree[:n-1]
+			} else {
+				slot = int32(len(d.drains))
+				d.drains = append(d.drains, nil)
 			}
+			d.drains[slot] = recs
+			d.engine.ScheduleAfter(transfer, d.hDrain, uint64(slot), 0)
+			return
 		}
-	}
-
-	if transfer > 0 {
-		//lint:ignore hpelint/hotalloc one closure per HIR drain epoch (every TransferInterval faults), not per event
-		d.engine.After(transfer, func() {
-			d.busy--
-			d.pump()
-		})
-		return
 	}
 	d.busy--
 	d.pump()

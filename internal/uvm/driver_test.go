@@ -1,6 +1,7 @@
 package uvm
 
 import (
+	"math"
 	"testing"
 
 	"hpe/internal/addrspace"
@@ -38,9 +39,9 @@ func testConfig() Config {
 func TestFaultServiceLatency(t *testing.T) {
 	eng := sim.NewEngine()
 	m := mem.NewDeviceMemory(4)
-	d := New(testConfig(), eng, m, policy.NewLRU(), nil, nil)
 	woken := sim.Cycle(0)
-	d.Fault(1, 0, func() { woken = eng.Now() })
+	d := New(testConfig(), eng, m, policy.NewLRU(), nil, nil, func(addrspace.PageID) { woken = eng.Now() })
+	d.Fault(1, 0)
 	eng.Run()
 	if woken != 100 {
 		t.Fatalf("fault completed at %d, want 100", woken)
@@ -56,11 +57,10 @@ func TestFaultServiceLatency(t *testing.T) {
 func TestFaultsServiceSerially(t *testing.T) {
 	eng := sim.NewEngine()
 	m := mem.NewDeviceMemory(4)
-	d := New(testConfig(), eng, m, policy.NewLRU(), nil, nil)
 	var times []sim.Cycle
+	d := New(testConfig(), eng, m, policy.NewLRU(), nil, nil, func(addrspace.PageID) { times = append(times, eng.Now()) })
 	for i := 1; i <= 3; i++ {
-		p := addrspace.PageID(i)
-		d.Fault(p, i, func() { times = append(times, eng.Now()) })
+		d.Fault(addrspace.PageID(i), i)
 	}
 	eng.Run()
 	want := []sim.Cycle{100, 200, 300}
@@ -74,29 +74,31 @@ func TestFaultsServiceSerially(t *testing.T) {
 func TestDuplicateFaultsCoalesce(t *testing.T) {
 	eng := sim.NewEngine()
 	m := mem.NewDeviceMemory(4)
-	d := New(testConfig(), eng, m, policy.NewLRU(), nil, nil)
 	woken := 0
+	d := New(testConfig(), eng, m, policy.NewLRU(), nil, nil, func(addrspace.PageID) { woken++ })
 	for i := 0; i < 5; i++ {
-		d.Fault(7, i, func() { woken++ })
+		d.Fault(7, i)
 	}
 	eng.Run()
 	st := d.Stats()
 	if st.FaultsServiced != 1 || st.Coalesced != 4 {
 		t.Fatalf("serviced=%d coalesced=%d, want 1/4", st.FaultsServiced, st.Coalesced)
 	}
-	if woken != 5 {
-		t.Fatalf("woken = %d, want all 5 waiters", woken)
+	// The five waiters share one page, so the GPU is told once.
+	if woken != 1 {
+		t.Fatalf("woken = %d, want 1 resident call for the page", woken)
 	}
 }
 
 func TestFaultOnResidentPageWakesImmediately(t *testing.T) {
 	eng := sim.NewEngine()
 	m := mem.NewDeviceMemory(4)
-	d := New(testConfig(), eng, m, policy.NewLRU(), nil, nil)
-	d.Fault(1, 0, func() {})
-	eng.Run()
 	woken := false
-	d.Fault(1, 1, func() { woken = true })
+	d := New(testConfig(), eng, m, policy.NewLRU(), nil, nil, func(addrspace.PageID) { woken = true })
+	d.Fault(1, 0)
+	eng.Run()
+	woken = false
+	d.Fault(1, 1)
 	if !woken {
 		t.Fatal("resident-page fault did not wake synchronously")
 	}
@@ -112,9 +114,9 @@ func TestEvictionOnFullMemory(t *testing.T) {
 	invalidated := []addrspace.PageID{}
 	d := New(testConfig(), eng, m, rec, nil, func(p addrspace.PageID) {
 		invalidated = append(invalidated, p)
-	})
+	}, nil)
 	for i := 1; i <= 3; i++ {
-		d.Fault(addrspace.PageID(i), i, func() {})
+		d.Fault(addrspace.PageID(i), i)
 	}
 	eng.Run()
 	st := d.Stats()
@@ -139,8 +141,8 @@ func TestWalkHitForwarding(t *testing.T) {
 	m := mem.NewDeviceMemory(4)
 	h := hir.New(hir.DefaultConfig())
 	lru := policy.NewLRU()
-	d := New(testConfig(), eng, m, lru, h, nil)
-	d.Fault(1, 0, func() {})
+	d := New(testConfig(), eng, m, lru, h, nil, nil)
+	d.Fault(1, 0)
 	eng.Run()
 	d.RecordWalkHit(1, 5)
 	if h.Touched() != 1 {
@@ -152,7 +154,7 @@ func TestWalkHitForwarding(t *testing.T) {
 	// (chain: 1 hit-refreshed then 2 mapped → LRU order 1,2). Refresh makes
 	// 1 MRU before 2 arrives; order stays 1 then 2, victim 1 either way, so
 	// probe differently: map 2, hit 1, victim must be 2.
-	d.Fault(2, 1, func() {})
+	d.Fault(2, 1)
 	eng.Run()
 	d.RecordWalkHit(1, 6)
 	if v := lru.SelectVictim(); v != 2 {
@@ -166,14 +168,14 @@ func TestHIRDrainEveryNthFault(t *testing.T) {
 	eng := sim.NewEngine()
 	m := mem.NewDeviceMemory(64)
 	h := hir.New(hir.DefaultConfig())
-	d := New(cfg, eng, m, policy.NewLRU(), h, nil)
-	d.Fault(1, 0, func() {})
+	d := New(cfg, eng, m, policy.NewLRU(), h, nil, nil)
+	d.Fault(1, 0)
 	eng.Run()
 	d.RecordWalkHit(1, 1)
 	if h.Touched() != 1 {
 		t.Fatal("hit not pending")
 	}
-	d.Fault(2, 2, func() {}) // 2nd serviced fault → drain
+	d.Fault(2, 2) // 2nd serviced fault → drain
 	eng.Run()
 	if h.Touched() != 0 {
 		t.Fatal("HIR not drained on 2nd fault")
@@ -187,9 +189,9 @@ func TestHIRDrainEveryNthFault(t *testing.T) {
 func TestQueueDepthTracking(t *testing.T) {
 	eng := sim.NewEngine()
 	m := mem.NewDeviceMemory(16)
-	d := New(testConfig(), eng, m, policy.NewLRU(), nil, nil)
+	d := New(testConfig(), eng, m, policy.NewLRU(), nil, nil, nil)
 	for i := 0; i < 10; i++ {
-		d.Fault(addrspace.PageID(i), i, func() {})
+		d.Fault(addrspace.PageID(i), i)
 	}
 	// The first fault went straight into service; nine wait.
 	if d.Pending() != 9 {
@@ -209,10 +211,10 @@ func TestChannelsOverlapFaultService(t *testing.T) {
 	cfg.Channels = 4
 	eng := sim.NewEngine()
 	m := mem.NewDeviceMemory(16)
-	d := New(cfg, eng, m, policy.NewLRU(), nil, nil)
 	var times []sim.Cycle
+	d := New(cfg, eng, m, policy.NewLRU(), nil, nil, func(addrspace.PageID) { times = append(times, eng.Now()) })
 	for i := 0; i < 8; i++ {
-		d.Fault(addrspace.PageID(i), i, func() { times = append(times, eng.Now()) })
+		d.Fault(addrspace.PageID(i), i)
 	}
 	eng.Run()
 	// Two waves of four: completions at 100 (×4) and 200 (×4).
@@ -231,10 +233,10 @@ func TestZeroChannelsDefaultsToOne(t *testing.T) {
 	cfg := testConfig()
 	cfg.Channels = 0
 	eng := sim.NewEngine()
-	d := New(cfg, eng, mem.NewDeviceMemory(4), policy.NewLRU(), nil, nil)
 	var times []sim.Cycle
+	d := New(cfg, eng, mem.NewDeviceMemory(4), policy.NewLRU(), nil, nil, func(addrspace.PageID) { times = append(times, eng.Now()) })
 	for i := 0; i < 2; i++ {
-		d.Fault(addrspace.PageID(i), i, func() { times = append(times, eng.Now()) })
+		d.Fault(addrspace.PageID(i), i)
 	}
 	eng.Run()
 	if times[0] != 100 || times[1] != 200 {
@@ -245,9 +247,9 @@ func TestZeroChannelsDefaultsToOne(t *testing.T) {
 func TestBusyCyclesAccumulate(t *testing.T) {
 	eng := sim.NewEngine()
 	m := mem.NewDeviceMemory(16)
-	d := New(testConfig(), eng, m, policy.NewLRU(), nil, nil)
+	d := New(testConfig(), eng, m, policy.NewLRU(), nil, nil, nil)
 	for i := 0; i < 4; i++ {
-		d.Fault(addrspace.PageID(i), i, func() {})
+		d.Fault(addrspace.PageID(i), i)
 	}
 	eng.Run()
 	// 4 faults × 100 cycles × the default 0.35 host-busy fraction.
@@ -262,7 +264,7 @@ func TestZeroFaultLatencyPanics(t *testing.T) {
 			t.Error("zero fault latency accepted")
 		}
 	}()
-	New(Config{}, sim.NewEngine(), mem.NewDeviceMemory(1), policy.NewLRU(), nil, nil)
+	New(Config{}, sim.NewEngine(), mem.NewDeviceMemory(1), policy.NewLRU(), nil, nil, nil)
 }
 
 func TestPrefetchMigratesBlockNeighbours(t *testing.T) {
@@ -270,8 +272,9 @@ func TestPrefetchMigratesBlockNeighbours(t *testing.T) {
 	cfg.PrefetchPages = 15
 	eng := sim.NewEngine()
 	m := mem.NewDeviceMemory(64)
-	d := New(cfg, eng, m, policy.NewLRU(), nil, nil)
-	d.Fault(32, 0, func() {}) // block 32..47
+	woken := false
+	d := New(cfg, eng, m, policy.NewLRU(), nil, nil, func(addrspace.PageID) { woken = true })
+	d.Fault(32, 0) // block 32..47
 	eng.Run()
 	for p := addrspace.PageID(32); p < 48; p++ {
 		if !m.Resident(p) {
@@ -283,8 +286,8 @@ func TestPrefetchMigratesBlockNeighbours(t *testing.T) {
 		t.Fatalf("faults=%d prefetched=%d, want 1/15", st.FaultsServiced, st.Prefetched)
 	}
 	// A subsequent touch of a prefetched page is not a fault.
-	woken := false
-	d.Fault(33, 1, func() { woken = true })
+	woken = false
+	d.Fault(33, 1)
 	if !woken || d.Stats().FaultsServiced != 1 {
 		t.Fatal("prefetched page refaulted")
 	}
@@ -295,8 +298,8 @@ func TestPrefetchEvictsWhenFull(t *testing.T) {
 	cfg.PrefetchPages = 15
 	eng := sim.NewEngine()
 	m := mem.NewDeviceMemory(8)
-	d := New(cfg, eng, m, policy.NewLRU(), nil, nil)
-	d.Fault(0, 0, func() {})
+	d := New(cfg, eng, m, policy.NewLRU(), nil, nil, nil)
+	d.Fault(0, 0)
 	eng.Run()
 	if m.Len() != 8 {
 		t.Fatalf("resident = %d, want full memory", m.Len())
@@ -317,10 +320,10 @@ func TestPrefetchSkipsPendingFaults(t *testing.T) {
 	cfg.PrefetchPages = 15
 	eng := sim.NewEngine()
 	m := mem.NewDeviceMemory(64)
-	d := New(cfg, eng, m, policy.NewLRU(), nil, nil)
 	woken := 0
-	d.Fault(0, 0, func() { woken++ })
-	d.Fault(1, 1, func() { woken++ }) // queued behind page 0
+	d := New(cfg, eng, m, policy.NewLRU(), nil, nil, func(addrspace.PageID) { woken++ })
+	d.Fault(0, 0)
+	d.Fault(1, 1) // queued behind page 0
 	eng.Run()
 	if woken != 2 {
 		t.Fatalf("woken = %d, want both faults resolved", woken)
@@ -330,5 +333,109 @@ func TestPrefetchSkipsPendingFaults(t *testing.T) {
 	// 2 serviced faults, 14 prefetched pages.
 	if st.FaultsServiced != 2 || st.Prefetched != 14 {
 		t.Fatalf("faults=%d prefetched=%d, want 2/14", st.FaultsServiced, st.Prefetched)
+	}
+}
+
+// batchSink is an LRU that records every HIR drain delivered to it.
+type batchSink struct {
+	*policy.LRU
+	batches [][]hir.Record
+	at      []sim.Cycle
+	eng     *sim.Engine
+}
+
+func (b *batchSink) OnHitBatch(recs []hir.Record) {
+	b.batches = append(b.batches, recs)
+	b.at = append(b.at, b.eng.Now())
+}
+
+// TestHIRDrainsInFlightAcrossChannels overlaps two HIR drains on two
+// service channels: each drain reaches the sink once, with its own records,
+// when its PCIe transfer lands, and holds its channel until then.
+func TestHIRDrainsInFlightAcrossChannels(t *testing.T) {
+	cfg := testConfig()
+	cfg.Channels = 2
+	cfg.TransferInterval = 1
+	cfg.PCIeBytesPerCycle = 0.1 // a slow link, so the transfers overlap
+	eng := sim.NewEngine()
+	h := hir.New(hir.DefaultConfig())
+	sink := &batchSink{LRU: policy.NewLRU(), eng: eng}
+	d := New(cfg, eng, mem.NewDeviceMemory(64), sink, h, nil, nil)
+	transfer := sim.Cycle(math.Ceil(float64(h.TransferBytes(1)) / cfg.PCIeBytesPerCycle))
+
+	d.Fault(40, 0) // the HIR is empty: no drain
+	eng.Run()
+	d.RecordWalkHit(40, 1)
+	d.Fault(1, 2) // done at 200, drains page 40's set
+	eng.RunUntil(150)
+	d.Fault(17, 3) // done at 250, drains page 1's set
+	eng.RunUntil(210)
+	d.RecordWalkHit(1, 4)
+	eng.RunUntil(260)
+	if d.busy != 2 {
+		t.Fatalf("busy = %d with both transfers in flight, want 2", d.busy)
+	}
+	eng.Run()
+
+	if d.busy != 0 {
+		t.Fatalf("busy = %d after the transfers landed, want 0", d.busy)
+	}
+	want := []sim.Cycle{200 + transfer, 250 + transfer}
+	if len(sink.at) != 2 || sink.at[0] != want[0] || sink.at[1] != want[1] {
+		t.Fatalf("batches delivered at %v, want %v", sink.at, want)
+	}
+	for i, set := range []uint64{40 >> 4, 1 >> 4} {
+		if b := sink.batches[i]; len(b) != 1 || uint64(b[0].Set) != set {
+			t.Fatalf("batch %d = %+v, want one record for set %d", i, b, set)
+		}
+	}
+}
+
+// TestWaitQueueReusesStorage keeps three or four faults waiting through a
+// thousand service slots, so the queue never drains: the faults must still
+// complete in arrival order, and the queue must keep reusing its backing
+// array rather than reallocating as dispatched faults pile up before it.
+func TestWaitQueueReusesStorage(t *testing.T) {
+	const faults = 1000
+	eng := sim.NewEngine()
+	order := make([]addrspace.PageID, 0, faults)
+	d := New(testConfig(), eng, mem.NewDeviceMemory(faults), policy.NewClock(), nil, nil,
+		func(p addrspace.PageID) { order = append(order, p) })
+	d.Reserve(0, faults)
+	next := addrspace.PageID(0)
+	for ; next < 5; next++ {
+		d.Fault(next, int(next))
+	}
+	step := func() {
+		eng.RunUntil(eng.Now() + 100) // one service slot
+		if d.Pending() != 3 {
+			t.Fatalf("pending = %d before fault %d, want a steady backlog of 3", d.Pending(), next)
+		}
+		d.Fault(next, int(next))
+		next++
+	}
+	for next < 400 {
+		step()
+	}
+	const measured = 200 // AllocsPerRun also runs the loop once to warm up
+	allocs := testing.AllocsPerRun(1, func() {
+		for k := 0; k < measured; k++ {
+			step()
+		}
+	})
+	for next < faults {
+		step()
+	}
+	eng.Run()
+	for i, p := range order {
+		if p != addrspace.PageID(i) {
+			t.Fatalf("completion %d was page %d: the queue reordered faults", i, p)
+		}
+	}
+	if len(order) != faults {
+		t.Fatalf("%d of %d faults completed", len(order), faults)
+	}
+	if allocs > 4 {
+		t.Fatalf("%d steady-state faults allocated %.0f objects, want at most 4", measured, allocs)
 	}
 }
