@@ -85,10 +85,11 @@ workload-check:
 # `go test -fuzz=FuzzPhaseSchedule ./internal/workload/`,
 # `go test -fuzz=FuzzPageTable ./internal/addrspace/`,
 # `go test -fuzz=FuzzTLBReference ./internal/tlb/`,
-# `go test -fuzz=FuzzRRIPReference ./internal/policy/`, or
-# `go test -fuzz=FuzzSpecDecode ./internal/runspec/` to explore).
+# `go test -fuzz=FuzzRRIPReference ./internal/policy/`,
+# `go test -fuzz=FuzzSpecDecode ./internal/runspec/`, or
+# `go test -fuzz=FuzzDecodeError ./internal/server/` to explore).
 fuzz-seed:
-	$(GO) test -run 'Fuzz' ./internal/workload/ ./internal/sim/ ./internal/trace/ ./internal/addrspace/ ./internal/tlb/ ./internal/policy/ ./internal/runspec/
+	$(GO) test -run 'Fuzz' ./internal/workload/ ./internal/sim/ ./internal/trace/ ./internal/addrspace/ ./internal/tlb/ ./internal/policy/ ./internal/runspec/ ./internal/server/
 
 # One benchmark per paper table/figure plus the ablations.
 bench:

@@ -68,6 +68,26 @@ type Config struct {
 // ringVNodes is the number of virtual ring points per backend.
 const ringVNodes = 64
 
+// maxIdlePerBackend is the coordinator transport's per-host idle pool. A
+// connection only becomes idle after carrying a request, so a backend's idle
+// connections never outnumber its peak in-flight requests: the dispatch
+// window (workers + queue) plus a health probe and the odd lookup. Sized far
+// above any window a backend reports, the pool never closes a connection the
+// next shard would have reused — the window, not the pool, bounds how many
+// connections a backend holds (DESIGN.md §13).
+const maxIdlePerBackend = 1024
+
+// newTransport returns the coordinator's own transport: the default one's
+// proxy, dial and TLS settings, with an idle pool sized by maxIdlePerBackend
+// and no cluster-wide idle cap (each backend's window already bounds its
+// share).
+func newTransport() *http.Transport {
+	t := http.DefaultTransport.(*http.Transport).Clone()
+	t.MaxIdleConns = 0
+	t.MaxIdleConnsPerHost = maxIdlePerBackend
+	return t
+}
+
 func (c *Config) fillDefaults() {
 	if c.HealthInterval <= 0 {
 		c.HealthInterval = 2 * time.Second
@@ -103,7 +123,7 @@ type Coordinator struct {
 	ring       *ring
 	order      []string            // backend names, configuration order (immutable)
 	backends   map[string]*backend // immutable map; each backend locks itself
-	client     *http.Client
+	client     *http.Client        // over the coordinator's own transport (newTransport)
 	met        *clusterMetrics
 	healthDone chan struct{} // closed when the health loop exits
 }
@@ -132,7 +152,7 @@ func New(cfg Config) (*Coordinator, error) {
 		ring:       newRing(cfg.Backends, ringVNodes),
 		order:      cfg.Backends,
 		backends:   make(map[string]*backend, len(cfg.Backends)),
-		client:     &http.Client{},
+		client:     &http.Client{Transport: newTransport()},
 		met:        newClusterMetrics(),
 		healthDone: make(chan struct{}),
 	}
@@ -193,9 +213,11 @@ func (c *Coordinator) probeBackend(ctx context.Context, b *backend) {
 		return
 	}
 	defer resp.Body.Close()
+	// Read to EOF, so the connection goes back to the idle pool.
+	raw, err := io.ReadAll(io.LimitReader(resp.Body, maxResponseBytes))
 	var hb server.HealthBody
-	if resp.StatusCode != http.StatusOK ||
-		json.NewDecoder(resp.Body).Decode(&hb) != nil || hb.Status != "ok" {
+	if err != nil || resp.StatusCode != http.StatusOK ||
+		json.Unmarshal(raw, &hb) != nil || hb.Status != "ok" {
 		b.setHealth(false, 0, 0)
 		return
 	}
@@ -224,7 +246,8 @@ func (c *Coordinator) liveBackends() []string {
 type ringCompute struct{ *Coordinator }
 
 func (rc ringCompute) Run(ctx context.Context, sp runspec.Spec, id string) ([]byte, error) {
-	body, err := rc.dispatchRun(ctx, sp, id)
+	var rr server.RunResponse
+	body, err := rc.dispatchRun(ctx, sp, id, &rr)
 	return body, unavailable(id, err)
 }
 
@@ -322,11 +345,12 @@ func (rc ringCompute) Metrics(w io.Writer, st server.FrontStats) {
 	rc.met.render(w, st, rc.snapshots(), rc.Saturation())
 }
 
-// Close stops the health loop; the front has already cancelled in-flight
-// dispatches.
+// Close stops the health loop and closes the kept-alive backend
+// connections; the front has already cancelled in-flight dispatches.
 func (rc ringCompute) Close(st server.FrontStats) string {
 	rc.baseCancel()
 	<-rc.healthDone
+	rc.client.CloseIdleConnections()
 	sat := rc.Saturation()
 	return fmt.Sprintf("cluster: %d/%d backends live, %.2f rps capacity; cache: %d entries, %d bytes; coalesced %d, redispatched %d",
 		sat.Live, len(rc.order), sat.ClusterRPS, st.Cache.Entries, st.Cache.Bytes,
@@ -374,14 +398,9 @@ func (c *Coordinator) sweepSuite(ctx context.Context, req server.SuiteRequest, i
 		Workers: workers,
 		Context: runCtx,
 		Runner: func(rctx context.Context, sp hpe.RunSpec, rid string) (hpe.Result, error) {
-			body, err := c.dispatchRun(rctx, sp, rid)
-			if err != nil {
-				fail(err)
-				return hpe.Result{}, err
-			}
 			var rr server.RunResponse
-			if err := json.Unmarshal(body, &rr); err != nil {
-				fail(fmt.Errorf("shard %s: malformed run response: %w", rid, err))
+			if _, err := c.dispatchRun(rctx, sp, rid, &rr); err != nil {
+				fail(err)
 				return hpe.Result{}, err
 			}
 			return rr.Result, nil

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -23,22 +24,40 @@ import (
 // simulate the two loss modes the coordinator must survive: a kill
 // (connections reset, every new connection refused — a crashed process) and
 // a pause (every request, including /healthz, blocks — a SIGSTOPped process
-// or dead NIC). The coordinator under test talks to the gates over real
-// HTTP, so what the tests exercise is the exact production path: transport
-// errors, health-probe timeouts, death-watch cancellation, ring-walk
-// re-dispatch.
+// or dead NIC). It can also damage the run answers of a live backend: a body
+// naming another run, or a body cut short. The coordinator under test talks
+// to the gates over real HTTP, so what the tests exercise is the exact
+// production path: transport errors, health-probe timeouts, death-watch
+// cancellation, ring-walk re-dispatch.
 
 type chaosBackend struct {
 	srv  *server.Server
 	ts   *httptest.Server
 	gate *chaosGate
+
+	conns atomic.Int64 // connections the backend accepted (http.StateNew)
 }
+
+// answerMode selects how the gate damages a successful POST /v1/runs answer.
+type answerMode int32
+
+const (
+	answerIntact    answerMode = iota
+	answerWrongID              // the body names another run's id
+	answerTruncated            // the body is cut in half
+)
+
+// otherRunID is a well-formed run id no spec hashes to in practice.
+const otherRunID = "run-v2-00000000000000000000000000000000"
 
 type chaosGate struct {
 	inner http.Handler
 
 	killed atomic.Bool
 	paused atomic.Pointer[chan struct{}] // non-nil while paused; closed to resume
+
+	answer  atomic.Int32 // an answerMode
+	damaged atomic.Int64 // run answers the gate damaged
 
 	runPosts atomic.Int64 // POST /v1/runs requests seen
 	// killAt / pauseAt, when positive, trigger the matching failure upon
@@ -76,15 +95,50 @@ func (g *chaosGate) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 			panic(http.ErrAbortHandler)
 		}
 	}
+	if mode := answerMode(g.answer.Load()); mode != answerIntact &&
+		r.Method == http.MethodPost && r.URL.Path == "/v1/runs" {
+		rec := httptest.NewRecorder()
+		g.inner.ServeHTTP(rec, r)
+		body := rec.Body.Bytes()
+		if rec.Code == http.StatusOK {
+			body = damageAnswer(mode, body)
+			g.damaged.Add(1)
+		}
+		w.Header().Set("Content-Type", "application/json")
+		w.WriteHeader(rec.Code)
+		w.Write(body)
+		return
+	}
 	g.inner.ServeHTTP(w, r)
+}
+
+// damageAnswer rewrites one RunResponse body the way mode says.
+func damageAnswer(mode answerMode, body []byte) []byte {
+	switch mode {
+	case answerWrongID:
+		var rr server.RunResponse
+		if err := json.Unmarshal(body, &rr); err != nil {
+			panic(err)
+		}
+		return bytes.Replace(body, []byte(`"id":"`+rr.ID+`"`), []byte(`"id":"`+otherRunID+`"`), 1)
+	case answerTruncated:
+		return body[:len(body)/2]
+	}
+	return body
 }
 
 func newChaosBackend(t *testing.T, workers int) *chaosBackend {
 	t.Helper()
 	srv := server.New(server.Config{Workers: workers})
 	gate := &chaosGate{inner: srv.Handler()}
-	ts := httptest.NewServer(gate)
+	ts := httptest.NewUnstartedServer(gate)
 	cb := &chaosBackend{srv: srv, ts: ts, gate: gate}
+	ts.Config.ConnState = func(_ net.Conn, state http.ConnState) {
+		if state == http.StateNew {
+			cb.conns.Add(1)
+		}
+	}
+	ts.Start()
 	gate.killrun = cb.kill
 	gate.pauserun = cb.pause
 	t.Cleanup(func() {
@@ -410,6 +464,101 @@ func TestBackendPausedPastHealthDeadline(t *testing.T) {
 	golden := singleNodeSuiteGolden(t, tc.backends[0])
 	if !bytes.Equal(merged, golden) {
 		t.Fatal("post-pause merged sweep differs from single-node run")
+	}
+}
+
+// TestSweepChargesBadShardAnswers has one live backend answer every run
+// POST with a damaged body: in one mode the body names another run, in the
+// other it is cut short. Either answer must be charged to that backend's
+// breaker and its shard re-dispatched, never merged: no shard completes
+// there, and the sweep still equals a single-node run byte for byte.
+func TestSweepChargesBadShardAnswers(t *testing.T) {
+	if testing.Short() {
+		t.Skip("chaos sweep skipped in -short mode")
+	}
+	for _, mode := range []struct {
+		name   string
+		answer answerMode
+	}{
+		{"wrong-id", answerWrongID},
+		{"truncated", answerTruncated},
+	} {
+		t.Run(mode.name, func(t *testing.T) {
+			tc := newTestCluster(t, 3)
+			bad := tc.backends[2]
+			bad.gate.answer.Store(int32(mode.answer))
+
+			code, merged, _ := post(t, tc.front.URL, "/v1/suite", quickSuiteBody)
+			if code != http.StatusOK {
+				t.Fatalf("sweep with a bad backend: status %d: %s", code, merged)
+			}
+			if bad.gate.damaged.Load() == 0 {
+				t.Fatal("the bad backend answered no shard; the chaos never happened")
+			}
+			snap := tc.coord.backends[bad.ts.URL].snapshot(time.Now(), tc.coord.cfg.BreakerThreshold)
+			if snap.Failures == 0 {
+				t.Fatal("damaged answers were not charged to the backend's breaker")
+			}
+			if snap.Dispatched != 0 {
+				t.Fatalf("%d shards completed on the bad backend; its answers must never be merged", snap.Dispatched)
+			}
+			if got := tc.coord.met.redispatchCount(); got == 0 {
+				t.Fatal("no re-dispatches recorded despite damaged answers")
+			}
+			golden := singleNodeSuiteGolden(t, tc.backends[0])
+			if !bytes.Equal(merged, golden) {
+				t.Fatal("merged sweep with a bad backend differs from single-node run")
+			}
+		})
+	}
+}
+
+// TestSweepReusesBackendConnections checks that shards ride kept-alive
+// connections, so the connections a backend accepts are bounded by its
+// dispatch window, not by how many shards it serves. A backend never has
+// more than window+1 requests from the coordinator in flight (a full window
+// plus a health probe), so once it holds window+1 connections a request
+// always finds one idle. The first sweep may overshoot that by a few: a
+// request that finds none idle starts a dial, and net/http keeps the dialed
+// connection even when another frees first. After it, the pool is warm:
+// two more sweeps of the same cells, answered from the backends' caches
+// and so turning over shards fastest, must not dial at all.
+func TestSweepReusesBackendConnections(t *testing.T) {
+	if testing.Short() {
+		t.Skip("full quick-subset sweep skipped in -short mode")
+	}
+	tc := newTestCluster(t, 2)
+	sweep := func(body string) {
+		t.Helper()
+		code, merged, _ := post(t, tc.front.URL, "/v1/suite", body)
+		if code != http.StatusOK {
+			t.Fatalf("coordinator suite %s: status %d: %s", body, code, merged)
+		}
+	}
+	sweep(quickSuiteBody)
+	warm := make([]int64, len(tc.backends))
+	for i, cb := range tc.backends {
+		warm[i] = cb.conns.Load()
+	}
+	sweep(`{"ids":["fig10"],"quick":true,"seed":1}`)
+	sweep(`{"ids":["fig12"],"quick":true,"seed":1}`)
+
+	for i, cb := range tc.backends {
+		snap := tc.coord.backends[cb.ts.URL].snapshot(time.Now(), tc.coord.cfg.BreakerThreshold)
+		window := int64(snap.Workers + snap.Queue)
+		if snap.Dispatched <= uint64(4*(window+1)) {
+			t.Fatalf("backend %d served %d shards; too few to tell reuse from dialing per shard (window %d)",
+				i, snap.Dispatched, window)
+		}
+		n := cb.conns.Load()
+		if n > max(warm[i], window+1) {
+			t.Errorf("backend %d accepted %d connections, %d after the first sweep: the warm pool (window %d plus 1) still dialed",
+				i, n, warm[i], window)
+		}
+		if n > 2*(window+1) {
+			t.Errorf("backend %d accepted %d connections for %d shards; want well under twice its window %d plus 1",
+				i, n, snap.Dispatched, window)
+		}
 	}
 }
 

@@ -27,10 +27,11 @@ import (
 var errNoBackends = errors.New("no usable backend")
 
 // dispatchRun executes one run spec on the cluster and returns the owning
-// backend's response body verbatim (a server.RunResponse). Determinism makes
-// any backend's bytes THE bytes, so the coordinator can cache and serve them
-// unmodified.
-func (c *Coordinator) dispatchRun(ctx context.Context, sp hpe.RunSpec, id string) ([]byte, error) {
+// backend's response body verbatim, with rr holding that body decoded.
+// Determinism makes any backend's bytes THE bytes, so the coordinator can
+// cache and serve them unmodified; a sweep reads the result from rr instead
+// of decoding the bytes a second time.
+func (c *Coordinator) dispatchRun(ctx context.Context, sp hpe.RunSpec, id string, rr *server.RunResponse) ([]byte, error) {
 	specBody, err := json.Marshal(sp)
 	if err != nil {
 		return nil, fmt.Errorf("encode spec: %w", err)
@@ -60,7 +61,7 @@ func (c *Coordinator) dispatchRun(ctx context.Context, sp hpe.RunSpec, id string
 			if ownerIdx > 0 || attempt > 0 {
 				c.met.redispatch()
 			}
-			body, retryAfter, err := c.tryBackend(ctx, b, specBody, id)
+			body, retryAfter, err := c.tryBackend(ctx, b, specBody, id, rr)
 			if err == nil {
 				return body, nil
 			}
@@ -95,12 +96,14 @@ func (c *Coordinator) dispatchRun(ctx context.Context, sp hpe.RunSpec, id string
 	return nil, fmt.Errorf("shard %s: %w", id, lastErr)
 }
 
-// tryBackend runs one attempt against one backend. A positive retryAfter
-// reports backpressure (429/503 with a Retry-After hint); err then describes
-// the rejection. Transport failures and 5xx responses are charged to the
-// breaker; backpressure and 4xx rejections are not (the backend is healthy —
-// it is full, or the request is wrong).
-func (c *Coordinator) tryBackend(ctx context.Context, b *backend, specBody []byte, id string) (body []byte, retryAfter time.Duration, err error) {
+// tryBackend runs one attempt against one backend. On success rr holds the
+// decoded answer, whose ID must be the shard's: the body is decoded exactly
+// once. A positive retryAfter reports backpressure (429/503 with a
+// Retry-After hint); err then describes the rejection. Transport failures,
+// 5xx responses, malformed bodies and answers for another run are charged to
+// the breaker; backpressure and 4xx rejections are not (the backend is
+// healthy — it is full, or the request is wrong).
+func (c *Coordinator) tryBackend(ctx context.Context, b *backend, specBody []byte, id string, rr *server.RunResponse) (body []byte, retryAfter time.Duration, err error) {
 	release, err := b.acquire(ctx)
 	if err != nil {
 		return nil, 0, err
@@ -135,8 +138,10 @@ func (c *Coordinator) tryBackend(ctx context.Context, b *backend, specBody []byt
 
 	switch {
 	case resp.StatusCode == http.StatusOK:
-		var rr server.RunResponse
-		if err := json.Unmarshal(raw, &rr); err != nil {
+		// Reset first: Unmarshal merges into what an earlier failed attempt
+		// left behind.
+		*rr = server.RunResponse{}
+		if err := json.Unmarshal(raw, rr); err != nil {
 			b.recordFailure(time.Now(), c.cfg.BreakerThreshold, c.cfg.BreakerCooldown)
 			return nil, 0, fmt.Errorf("malformed run response: %w", err)
 		}

@@ -7,10 +7,11 @@ import (
 
 // FuzzSpecDecode feeds arbitrary bodies to the /v1/runs wire decoder. Every
 // body Decode accepts must come out canonical: canonicalizing it again
-// changes nothing, its ID is the same on every call, and — when it carries
-// no Tuning, the part with no flag surface — rendering it as CLI flags and
-// back lands on the same ID. The seed corpus runs on every plain `go test`
-// (and through `make fuzz-seed`).
+// changes nothing, its ID is the same on every call, DecodeID returns the
+// same spec with that ID, and — when it carries no Tuning, the part with no
+// flag surface — rendering it as CLI flags and back lands on the same ID.
+// The seed corpus runs on every plain `go test` (and through
+// `make fuzz-seed`).
 func FuzzSpecDecode(f *testing.F) {
 	for _, body := range []string{
 		`{"app":"HSD","policy":"hpe","rate":75}`,
@@ -43,6 +44,13 @@ func FuzzSpecDecode(f *testing.F) {
 		id := s.ID()
 		if got := s.ID(); got != id {
 			t.Fatalf("ID unstable: %s then %s", id, got)
+		}
+		ds, did, err := DecodeID(bytes.NewReader(body))
+		if err != nil {
+			t.Fatalf("DecodeID rejects a body Decode accepts: %v", err)
+		}
+		if ds != s || did != id {
+			t.Fatalf("DecodeID disagrees with Decode then ID:\n spec %+v id %s\n want %+v id %s", ds, did, s, id)
 		}
 		if s.Tuning != (Tuning{}) {
 			return

@@ -294,7 +294,12 @@ func (s Spec) ID() string {
 	if err != nil {
 		panic(err.Error())
 	}
-	sum := sha256.Sum256(b)
+	return idOf(b)
+}
+
+// idOf is the content address of one canonical JSON encoding.
+func idOf(canonical []byte) string {
+	sum := sha256.Sum256(canonical)
 	return "run-" + IDVersion + "-" + hex.EncodeToString(sum[:16])
 }
 
@@ -309,6 +314,22 @@ func Decode(r io.Reader) (Spec, error) {
 		return Spec{}, fmt.Errorf("decode run spec: %w", err)
 	}
 	return s.Canonicalize()
+}
+
+// DecodeID is Decode plus the decoded spec's ID, hashed from the canonical
+// form Decode already built: the spec is canonicalized once, where Decode
+// followed by ID canonicalizes it twice. The wire path (POST /v1/runs) uses
+// it; ID stays the way to address a spec built any other way.
+func DecodeID(r io.Reader) (Spec, string, error) {
+	c, err := Decode(r)
+	if err != nil {
+		return Spec{}, "", err
+	}
+	b, err := json.Marshal(c)
+	if err != nil {
+		return Spec{}, "", fmt.Errorf("runspec: canonical spec not marshalable: %w", err)
+	}
+	return c, idOf(b), nil
 }
 
 // VariantLabel renders the spec's deviations from the plain (app, policy,

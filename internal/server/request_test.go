@@ -20,15 +20,15 @@ func TestRunWireFormCanonicalizes(t *testing.T) {
 	}
 	var want string
 	for i, body := range bodies {
-		sp, err := runspec.Decode(strings.NewReader(body))
+		_, got, err := runspec.DecodeID(strings.NewReader(body))
 		if err != nil {
 			t.Fatalf("decode body %d: %v", i, err)
 		}
 		if i == 0 {
-			want = sp.ID()
+			want = got
 			continue
 		}
-		if got := sp.ID(); got != want {
+		if got != want {
 			t.Errorf("body %d hashed differently: %s vs %s", i, got, want)
 		}
 	}
@@ -36,11 +36,11 @@ func TestRunWireFormCanonicalizes(t *testing.T) {
 		t.Errorf("run ID %q lacks versioned kind prefix", want)
 	}
 
-	sp, err := runspec.Decode(strings.NewReader(`{"app":"HSD","policy":"clock-pro","rate":50}`))
+	_, other, err := runspec.DecodeID(strings.NewReader(`{"app":"HSD","policy":"clock-pro","rate":50}`))
 	if err != nil {
 		t.Fatalf("decode: %v", err)
 	}
-	if sp.ID() == want {
+	if other == want {
 		t.Errorf("different rates share a content address")
 	}
 }
@@ -62,7 +62,7 @@ func TestRunWireFormRejectsInvalid(t *testing.T) {
 		{"legacy nested options", `{"app":"HSD","policy":"lru","rate":50,"options":{"scale":4}}`},
 	}
 	for _, tc := range cases {
-		if _, err := runspec.Decode(strings.NewReader(tc.body)); err == nil {
+		if _, _, err := runspec.DecodeID(strings.NewReader(tc.body)); err == nil {
 			t.Errorf("%s: accepted %s", tc.name, tc.body)
 		}
 	}

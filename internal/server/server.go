@@ -239,8 +239,9 @@ func (s *Server) handleSubmitRun(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	// The wire form IS the canonical run spec: bounded body, unknown fields
-	// rejected, canonicalized on decode, content-addressed by Spec.ID().
-	sp, err := runspec.Decode(http.MaxBytesReader(nil, r.Body, 1<<20))
+	// rejected, canonicalized once on decode and content-addressed from that
+	// canonical form.
+	sp, id, err := runspec.DecodeID(http.MaxBytesReader(nil, r.Body, 1<<20))
 	if err != nil {
 		s.writeError(w, route, http.StatusBadRequest, ErrBadSpec, "bad request body: "+err.Error(), "")
 		return
@@ -253,7 +254,6 @@ func (s *Server) handleSubmitRun(w http.ResponseWriter, r *http.Request) {
 			"trace-file workload sources are not servable; replay them with hpesim", "")
 		return
 	}
-	id := sp.ID()
 	s.serveComputed(w, r, route, id, specSummary(sp), func(ctx context.Context) ([]byte, error) {
 		return s.comp.Run(ctx, sp, id)
 	})

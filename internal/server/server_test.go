@@ -148,11 +148,10 @@ func TestSpecIDAgreesAcrossLayers(t *testing.T) {
 	cliID := fl.Spec().ID()
 
 	// Server wire path: the same run with every default omitted.
-	sp, err := runspec.Decode(strings.NewReader(`{"app":"KMN","policy":"lru","rate":50}`))
+	_, serverID, err := runspec.DecodeID(strings.NewReader(`{"app":"KMN","policy":"lru","rate":50}`))
 	if err != nil {
 		t.Fatalf("decode wire body: %v", err)
 	}
-	serverID := sp.ID()
 
 	// Suite path: the suite's own spec for (KMN, lru, 50), observed through
 	// the probe factory's RunInfo. Options.Seed 0 is the suite's historical

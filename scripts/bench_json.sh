@@ -14,9 +14,11 @@ set -eu
 cd "$(dirname "$0")/.."
 
 if [ "${1:-}" = "--smoke" ]; then
-    out="$(mktemp -d)/BENCH_1.json"
-    go run ./cmd/hpebench -bench-json "$out" -bench-iters 1 -quick
-    rm -f "$out"
+    # The report goes to a temporary directory that is removed on any exit,
+    # a failed smoke run included.
+    dir="$(mktemp -d)"
+    trap 'rm -rf "$dir"' EXIT
+    go run ./cmd/hpebench -bench-json "$dir/BENCH_1.json" -bench-iters 1 -quick
     echo "bench-json smoke OK (schema validated)"
     exit 0
 fi
